@@ -1,0 +1,9 @@
+#!/usr/bin/env bash
+# Build the benchmark and the `uu` binary from source, then run one
+# workload:
+#   bash perfbench/run.sh --workload NAME --seed N --seconds S --trace 0|1
+# Run from the repository root. Build output goes to stderr so the last
+# line of stdout is the benchmark's JSON result.
+set -euo pipefail
+dune build --root . ./perfbench/main.exe ./bin/uu_main.exe 1>&2
+exec ./_build/default/perfbench/main.exe "$@"
