@@ -89,11 +89,11 @@ let ablation_rollback =
          let f, header = rainflow_fn () in
          ignore (Uu_core.Uu.uu_loop ~budget:64 f ~header ~factor:8)))
 
-(* Simulator engine throughput: the pre-decoded warp engine vs the
-   tree-walking reference interpreter, and decode-cold (fresh decode per
-   simulation) vs decode-warm (per-module decode cache, the harness's
-   steady state). The module is compiled once outside the timed region so
-   only simulation is measured. *)
+(* Simulator throughput: the pre-decoded simulator vs the tree-walking
+   reference interpreter of the test oracle, and decode-cold (fresh
+   decode per simulation) vs decode-warm (per-module decode cache, the
+   harness's steady state). The module is compiled once outside the
+   timed region so only simulation is measured. *)
 
 let sim_module config =
   let a = app "XSBench" in
@@ -104,7 +104,8 @@ let sim_module config =
     m.Uu_ir.Func.funcs;
   (a, m)
 
-let simulate_module ~engine ?decode_cache ?sim_jobs ((a : Uu_benchmarks.App.t), m) =
+let simulate_module ?(exec : Uu_sim_oracle.Oracle.exec = Uu_gpusim.Kernel.exec)
+    ?decode_cache ?sim_jobs ((a : Uu_benchmarks.App.t), m) =
   let instance = a.Uu_benchmarks.App.setup (Uu_support.Rng.create 0x5EEDL) in
   let total = Uu_gpusim.Metrics.create () in
   List.iter
@@ -115,11 +116,10 @@ let simulate_module ~engine ?decode_cache ?sim_jobs ((a : Uu_benchmarks.App.t), 
         | None -> failwith ("unknown kernel " ^ l.Uu_benchmarks.App.kernel)
       in
       let r =
-        Uu_gpusim.Kernel.exec
+        exec
           ~config:
             {
               Uu_gpusim.Kernel.default_config with
-              engine;
               decode_cache;
               sim_jobs = Option.value sim_jobs ~default:1;
             }
@@ -135,14 +135,14 @@ let sim_reference_test =
   let cm = lazy (sim_module (Uu_core.Pipelines.Uu 4)) in
   Test.make ~name:"sim:reference"
     (Staged.stage (fun () ->
-         ignore (simulate_module ~engine:Uu_gpusim.Kernel.Reference (Lazy.force cm))))
+         ignore (simulate_module ~exec:Uu_sim_oracle.Oracle.exec (Lazy.force cm))))
 
 let sim_decoded_cold_test =
   let cm = lazy (sim_module (Uu_core.Pipelines.Uu 4)) in
   Test.make ~name:"sim:decoded-cold"
     (Staged.stage (fun () ->
          (* no cache: every launch re-decodes its kernel *)
-         ignore (simulate_module ~engine:Uu_gpusim.Kernel.Decoded (Lazy.force cm))))
+         ignore (simulate_module (Lazy.force cm))))
 
 let sim_decoded_warm_test =
   let cm = lazy (sim_module (Uu_core.Pipelines.Uu 4)) in
@@ -150,23 +150,22 @@ let sim_decoded_warm_test =
   Test.make ~name:"sim:decoded-warm"
     (Staged.stage (fun () ->
          ignore
-           (simulate_module ~engine:Uu_gpusim.Kernel.Decoded ~decode_cache:cache
-              (Lazy.force cm))))
+           (simulate_module ~decode_cache:cache (Lazy.force cm))))
 
 let sim_tests = [ sim_reference_test; sim_decoded_cold_test; sim_decoded_warm_test ]
 
-(* Directly measured warp-instructions/second per engine (the number the
-   ROADMAP's perf item is tracked by), on XSBench under u&u-4. *)
+(* Directly measured warp-instructions/second of the simulator and of the
+   reference interpreter, on XSBench under u&u-4. *)
 let sim_throughput_report () =
   let cm = sim_module (Uu_core.Pipelines.Uu 4) in
   let cache = Uu_gpusim.Decode.create_cache () in
-  let measure name ~engine ?decode_cache ~reps () =
+  let measure name ?exec ?decode_cache ~reps () =
     (* one untimed warm-up simulation populates the decode cache *)
-    ignore (simulate_module ~engine ?decode_cache cm);
+    ignore (simulate_module ?exec ?decode_cache cm);
     let t0 = Unix.gettimeofday () in
     let instrs = ref 0 in
     for _ = 1 to reps do
-      let m = simulate_module ~engine ?decode_cache cm in
+      let m = simulate_module ?exec ?decode_cache cm in
       instrs := !instrs + m.Uu_gpusim.Metrics.warp_instrs
     done;
     let dt = Unix.gettimeofday () -. t0 in
@@ -176,14 +175,11 @@ let sim_throughput_report () =
     wips
   in
   print_endline "== sim-throughput: warp-instructions/second (XSBench, u&u-4) ==";
-  let reference = measure "reference" ~engine:Uu_gpusim.Kernel.Reference ~reps:3 () in
-  let cold = measure "decoded-cold" ~engine:Uu_gpusim.Kernel.Decoded ~reps:3 () in
-  let warm =
-    measure "decoded-warm" ~engine:Uu_gpusim.Kernel.Decoded ~decode_cache:cache
-      ~reps:3 ()
-  in
+  let reference = measure "reference" ~exec:Uu_sim_oracle.Oracle.exec ~reps:3 () in
+  ignore (measure "decoded-cold" ~reps:3 ());
+  let warm = measure "decoded-warm" ~decode_cache:cache ~reps:3 () in
   Printf.printf "  decoded-warm / reference: %.2fx\n" (warm /. reference);
-  (reference, cold, warm)
+  (reference, warm)
 
 (* Block-shard scaling: the same Table I-scale workload (XSBench under
    u&u-4, its own launch schedule and grids) simulated at increasing
@@ -353,47 +349,6 @@ let run_bechamel () =
   List.iter
     (fun (name, pretty) -> Printf.printf "%-45s %12s\n" name pretty)
     (List.sort compare !rows)
-
-(* Full-scale engine comparison recorded in BENCH_sim.json: wall-clock of
-   Table I's complete 20-run protocol (all apps, no result cache) under
-   each engine. This is the harness's dominant workload, so its ratio is
-   the honest before/after number for the decoded-engine optimization. *)
-let sim_json path =
-  let time_table1 engine =
-    let t0 = Unix.gettimeofday () in
-    let rows = Uu_harness.Table1.compute ~runs:20 ~engine () in
-    let dt = Unix.gettimeofday () -. t0 in
-    Printf.printf "  table1 runs:20 %-10s %.2f s\n%!"
-      (match engine with
-      | Uu_gpusim.Kernel.Reference -> "reference"
-      | Uu_gpusim.Kernel.Decoded -> "decoded")
-      dt;
-    ignore rows;
-    dt
-  in
-  print_endline "== BENCH_sim: Table I (20 runs, all apps, no cache) per engine ==";
-  let reference_s = time_table1 Uu_gpusim.Kernel.Reference in
-  let decoded_s = time_table1 Uu_gpusim.Kernel.Decoded in
-  let reference_wips, cold_wips, warm_wips = sim_throughput_report () in
-  let oc = open_out path in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "table1 --runs 20, all apps, no result cache",
-  "reference_engine_seconds": %.3f,
-  "decoded_engine_seconds": %.3f,
-  "speedup": %.2f,
-  "throughput_winstr_per_sec": {
-    "workload": "XSBench under uu-4",
-    "reference": %.0f,
-    "decoded_cold": %.0f,
-    "decoded_warm": %.0f
-  }
-}
-|}
-    reference_s decoded_s (reference_s /. decoded_s) reference_wips cold_wips
-    warm_wips;
-  close_out oc;
-  Printf.printf "  speedup: %.2fx -> %s\n" (reference_s /. decoded_s) path
 
 let main () =
   print_endline "== Bechamel: one benchmark per table/figure (reduced scale) ==";
@@ -639,24 +594,21 @@ let serve_report path =
   end
 
 let () =
-  (* `bench sim-throughput` (CI smoke), `bench sim-json [PATH]`,
-     `bench sim-parallel [PATH]`, and `bench serve [PATH]` run only the
-     engine/daemon benchmarks; no argument runs the full paper
-     harness. *)
+  (* `bench sim-throughput` (CI smoke), `bench sim-parallel [PATH]`, and
+     `bench serve [PATH]` run only the simulator/daemon benchmarks; no
+     argument runs the full paper harness. *)
   match Array.to_list Sys.argv with
   | _ :: "sim-parallel" :: rest ->
     sim_parallel_report (match rest with p :: _ -> p | [] -> "BENCH_sim_parallel.json")
   | _ :: "sim-throughput" :: _ ->
-    let reference, _, warm = sim_throughput_report () in
+    let reference, warm = sim_throughput_report () in
     if warm <= reference then begin
       Printf.eprintf
-        "sim-throughput: decoded engine (%.0f winstr/s) is not faster than the \
-         reference engine (%.0f winstr/s)\n"
+        "sim-throughput: the decoded simulator (%.0f winstr/s) is not faster \
+         than the reference interpreter (%.0f winstr/s)\n"
         warm reference;
       exit 1
     end
-  | _ :: "sim-json" :: rest ->
-    sim_json (match rest with p :: _ -> p | [] -> "BENCH_sim.json")
   | _ :: "serve" :: rest ->
     serve_report (match rest with p :: _ -> p | [] -> "BENCH_serve.json")
   | _ -> main ()

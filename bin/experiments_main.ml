@@ -49,17 +49,6 @@ let stats_arg =
     & info [ "stats" ]
         ~doc:"Print scheduler statistics (jobs run, cache hits/misses) after the run")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("decoded", Uu_gpusim.Kernel.Decoded); ("reference", Uu_gpusim.Kernel.Reference) ])
-        Uu_gpusim.Kernel.Decoded
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Simulator execution engine: $(b,decoded) (pre-decoded fast path, \
-           default) or $(b,reference) (the tree-walking oracle). Both produce \
-           identical measurements.")
-
 let configs_arg =
   Arg.(
     value & opt (some string) None
@@ -76,7 +65,6 @@ type ctx = {
   sim_jobs : int option;
   cache : Result_cache.t option;
   stats : bool;
-  engine : Uu_gpusim.Kernel.engine;
 }
 
 let select_apps = function
@@ -92,7 +80,7 @@ let select_apps = function
           None)
       wanted
 
-let make_ctx runs out apps jobs sim_jobs no_cache stats engine =
+let make_ctx runs out apps jobs sim_jobs no_cache stats =
   {
     runs;
     out;
@@ -103,13 +91,12 @@ let make_ctx runs out apps jobs sim_jobs no_cache stats engine =
       (if no_cache then None
        else Some (Result_cache.create ~dir:(Filename.concat out "cache")));
     stats;
-    engine;
   }
 
 let ctx_term =
   Term.(
     const make_ctx $ runs_arg $ out_arg $ apps_arg $ jobs_arg $ sim_jobs_arg
-    $ no_cache_arg $ stats_arg $ engine_arg)
+    $ no_cache_arg $ stats_arg)
 
 let print_scheduler_stats ctx extra =
   if ctx.stats then begin
@@ -136,9 +123,12 @@ let print_failures failures =
 let do_table1 ctx =
   let rows =
     Table1.compute ~runs:ctx.runs ~apps:ctx.apps ?jobs:ctx.jobs
-      ?sim_jobs:ctx.sim_jobs ?cache:ctx.cache ~engine:ctx.engine ()
+      ?sim_jobs:ctx.sim_jobs ?cache:ctx.cache ()
   in
   print_string (Table1.render rows);
+  Printf.printf "heuristic geomean speedup over %d apps: %.4fx\n" (List.length rows)
+    (Uu_support.Stats.geomean
+       (List.map (fun (r : Table1.row) -> r.baseline_mean_ms /. r.heuristic_mean_ms) rows));
   Report.write_csv
     ~path:(Filename.concat ctx.out "table1.csv")
     ~header:Table1.csv_header (Table1.to_csv rows)
@@ -146,8 +136,7 @@ let do_table1 ctx =
 let with_sweep ctx k =
   Printf.eprintf "running the per-loop sweep (%d apps)...\n%!" (List.length ctx.apps);
   let sweep =
-    Sweep.run ~apps:ctx.apps ?jobs:ctx.jobs ?sim_jobs:ctx.sim_jobs ?cache:ctx.cache
-      ~engine:ctx.engine ()
+    Sweep.run ~apps:ctx.apps ?jobs:ctx.jobs ?sim_jobs:ctx.sim_jobs ?cache:ctx.cache ()
   in
   print_failures sweep.Sweep.failures;
   Report.write_csv

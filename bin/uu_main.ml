@@ -313,19 +313,6 @@ let elems_arg =
     value & opt int 1024
     & info [ "elems" ] ~docv:"N" ~doc:"Elements in synthetic buffer arguments")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("decoded", Uu_gpusim.Kernel.Decoded);
-             ("reference", Uu_gpusim.Kernel.Reference) ])
-        Uu_gpusim.Kernel.Decoded
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Simulator execution engine: $(b,decoded) (default) or \
-           $(b,reference) (the tree-walking oracle)")
-
 let sim_jobs_arg =
   Arg.(
     value
@@ -357,16 +344,15 @@ let trace_arg =
            spliced in block order, so the stream is byte-identical at any \
            $(b,--sim-jobs) width.")
 
-let build_run_request source config factor loop grid block elems engine sim_jobs
+let build_run_request source config factor loop grid block elems sim_jobs
     check_races trace =
   Uu_serve.Request.make ?loop ~grid_dim:grid ~block_dim:block ~elems ~check_races
-    ~trace ~engine ?sim_jobs
+    ~trace ?sim_jobs
     (source_of_spec source)
     (parse_config config factor)
 
 let run_cmd =
-  let run source config factor loop grid block elems engine sim_jobs check_races
-      trace =
+  let run source config factor loop grid block elems sim_jobs check_races trace =
     handle_errors (fun () ->
         let sim_jobs =
           (* An interactive run has the machine to itself. *)
@@ -376,8 +362,8 @@ let run_cmd =
             | None -> Uu_support.Parallel.available_domains ())
         in
         let request =
-          build_run_request source config factor loop grid block elems engine
-            sim_jobs check_races trace
+          build_run_request source config factor loop grid block elems sim_jobs
+            check_races trace
         in
         match Uu_harness.Runner.run_request request with
         | Error msg ->
@@ -392,7 +378,7 @@ let run_cmd =
           (last int parameter receives the element count)")
     Term.(
       const run $ file_arg $ config_arg $ factor_arg $ loop_arg $ grid_arg $ block_arg
-      $ elems_arg $ engine_arg $ sim_jobs_arg $ races_arg $ trace_arg)
+      $ elems_arg $ sim_jobs_arg $ races_arg $ trace_arg)
 
 (* --- the daemon and its clients ------------------------------------- *)
 
@@ -465,13 +451,13 @@ let request_cmd =
       & info [ "compile" ]
           ~doc:"Request the optimized IR instead of running the simulator")
   in
-  let run source config factor loop grid block elems engine sim_jobs check_races
-      trace socket tcp compile_only =
+  let run source config factor loop grid block elems sim_jobs check_races trace
+      socket tcp compile_only =
     handle_errors (fun () ->
         let request =
           let r =
-            build_run_request source config factor loop grid block elems engine
-              sim_jobs check_races trace
+            build_run_request source config factor loop grid block elems sim_jobs
+              check_races trace
           in
           if compile_only then { r with Uu_serve.Request.mode = Compile } else r
         in
@@ -496,7 +482,7 @@ let request_cmd =
           sheds the request under overload")
     Term.(
       const run $ file_arg $ config_arg $ factor_arg $ loop_arg $ grid_arg $ block_arg
-      $ elems_arg $ engine_arg $ sim_jobs_arg $ races_arg $ trace_arg $ socket_arg
+      $ elems_arg $ sim_jobs_arg $ races_arg $ trace_arg $ socket_arg
       $ tcp_arg $ compile_flag)
 
 let serve_ctl_cmd =

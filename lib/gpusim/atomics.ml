@@ -15,7 +15,8 @@ open Uu_ir
    memory; Kernel commits shards in ascending order and each shard's
    deltas are recorded in ascending block order, so a float cell's final
    value is the fold [((pristine +. d_b0) +. d_b1) +. ...] — one fixed
-   summation order for every width and both engines.
+   summation order for every width, in the simulator and the reference
+   interpreter alike.
 
    Cells that are plain-written by one block and atomically updated by
    another are inter-block races (the race checker flags them); for such

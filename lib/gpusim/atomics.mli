@@ -9,7 +9,8 @@
     of which domain ran which other blocks. {!Kernel.exec} commits the
     shards' deltas in ascending block order after the join, so final
     memory (including the float summation order) is byte-identical at
-    every width and on both engines.
+    every width, for the simulator and the reference interpreter
+    alike.
 
     A cell plain-written by one block and atomically updated by another
     is an inter-block race (flagged by {!Racecheck}); such inputs have
@@ -31,8 +32,9 @@ val addf : t -> block_id:int -> buffer:int -> offset:int -> float -> float
     mismatch — the exact messages of [Memory.atomic_addi]/[addf]. *)
 
 val add : t -> block_id:int -> buffer:int -> offset:int -> Eval.rvalue -> Eval.rvalue
-(** Boxed dispatch for the reference engine, check-order-identical to
-    [Memory.atomic_add] (type checks precede the 63-bit fit check). *)
+(** Boxed dispatch for the test-only reference interpreter
+    ([Uu_sim_oracle]), check-order-identical to [Memory.atomic_add]
+    (type checks precede the 63-bit fit check). *)
 
 val commit : t -> unit
 (** Apply every recorded per-block delta to global memory, in ascending

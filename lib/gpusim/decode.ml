@@ -5,10 +5,9 @@ open Uu_ir
    [decode] compiles a [Func.t] once per (function, device) into a flat
    representation the warp executor can run without touching the IR:
 
-   - blocks are densely renumbered in the exact order [Layout.compute]
-     uses (reverse postorder, then leftover blocks in sorted-label
-     order), so icache line extents baked here reproduce the reference
-     engine's fetch behaviour line for line;
+   - blocks are densely renumbered in code-layout order (reverse
+     postorder, then leftover blocks in sorted-label order), and each
+     block's icache line extent is baked here;
    - operands are resolved to a register slot or a pre-normalized
      immediate, and every instruction is specialized by value class
      (float / int / pointer) so the executor keeps registers in unboxed
@@ -16,14 +15,13 @@ open Uu_ir
    - phi incomings become per-predecessor arrays indexed by dense block
      id;
    - the immediate post-dominator relation is baked into an int array
-     (-1 = reconverges at the virtual exit), so launches stop
-     recomputing [Layout.compute] + [Dominance.compute_post].
+     (-1 = reconverges at the virtual exit), so launches never
+     recompute the layout or [Dominance.compute_post].
 
    Integer registers hold OCaml native ints (63-bit) rather than boxed
    [int64]s. Values are kept sign-extended exactly as [Eval.normalize]
    keeps them, so every operation the benchmarks exercise is
-   observationally identical to the reference interpreter's [Int64]
-   semantics; the executor falls back to [Int64] arithmetic for the few
+   observationally identical to [Eval]'s [Int64] semantics; the executor falls back to [Int64] arithmetic for the few
    corner cases (I64 unsigned division / logical shifts of negative
    values, shift counts of 63) where the 63-bit word would diverge. *)
 
@@ -121,8 +119,9 @@ let fail name fmt = Printf.ksprintf (fun s -> failwith ("decode(@" ^ name ^ "): 
 
 let decode (device : Device.t) (fn : Func.t) : t =
   let name = fn.Func.name in
-  (* Dense block numbering: identical order to [Layout.compute] so the
-     per-block icache extents match the reference engine. *)
+  (* Dense block numbering in code-layout order: reverse postorder,
+     then unreachable blocks, which still occupy space until cleaned
+     up. *)
   let order =
     let rpo = Cfg.reverse_postorder fn in
     let seen = Hashtbl.create 32 in
@@ -304,7 +303,8 @@ let decode (device : Device.t) (fn : Func.t) : t =
     | Instr.Cond_br { cond; if_true; if_false } ->
       T_cbr { cond = iopv cond; if_true = dense_of if_true; if_false = dense_of if_false }
   in
-  (* Code layout: same address accumulation as [Layout.compute]. *)
+  (* Code layout: blocks laid out linearly in that order,
+     [instr_bytes] per instruction (phis and the terminator included). *)
   let line_bytes = device.Device.icache_line_bytes in
   let addr = ref 0 in
   let blocks =

@@ -1,25 +1,23 @@
-(** Pre-decoded warp programs: the simulator's fast execution path.
+(** Pre-decoded warp programs: the simulator's execution format.
 
     [decode] compiles a function once per (function, device) into a flat
-    program — dense int block ids in [Layout.compute] order, operands
+    program — dense int block ids in code-layout order, operands
     resolved to register slots or pre-normalized immediates, instructions
     specialized by value class (float / int / pointer), phi incomings as
     per-predecessor arrays, the immediate post-dominator relation and the
     per-block icache line extents baked into int arrays. [Warp] executes
-    this representation over unboxed register files; [Kernel.exec]
-    selects between it and the reference interpreter.
+    this representation over unboxed register files.
 
-    Decode invariants (what makes the decoded engine cycle-identical to
-    the reference interpreter):
-    - block numbering and code addresses replicate [Layout.compute]
-      (reverse postorder, then leftover blocks in sorted-label order), so
-      fetch misses are line-for-line identical;
+    Decode invariants (what keeps the simulator cycle-identical to the
+    tree-walking reference interpreter the tests check it against):
+    - block numbering and code addresses follow the code layout of
+      {!Layout} (reverse postorder, then leftover blocks in sorted-label
+      order), so fetch misses are line-for-line the layout model's;
     - immediates are pre-normalized with [Eval.normalize]; integer
-      registers keep values sign-extended exactly as the interpreter's
-      [Int64]s, with [Int64] fallbacks where a 63-bit native int could
-      diverge;
+      registers keep values sign-extended exactly as [Eval]'s [Int64]s,
+      with [Int64] fallbacks where a 63-bit native int could diverge;
     - [ipdom] is the same relation [Dominance.compute_post] yields, so
-      reconvergence stacks evolve identically;
+      reconvergence stacks evolve as the SIMT model specifies;
     - a decoded function must not be mutated and re-launched through the
       same {!cache} (the harness optimizes first, then freezes). *)
 
@@ -39,7 +37,7 @@ type dphi =
   | Phi_i of { dst : int; inc : iop option array }
   | Phi_p of { dst : int; inc : pop option array }
       (** [inc] is indexed by dense predecessor id; [None] replicates the
-          interpreter's missing-incoming failure. *)
+          reference interpreter's missing-incoming failure. *)
 
 type dinstr =
   | D_ibin of { dst : int; op : Instr.binop; w : ity; a : iop; b : iop; cost : int }
@@ -102,8 +100,8 @@ type t = {
 val code_bytes : t -> int
 
 val decode : Device.t -> Uu_ir.Func.t -> t
-(** Decode a function for a device. @raise Failure on IR the interpreter
-    could not execute either (class-confused operands, unknown branch
+(** Decode a function for a device. @raise Failure on IR the reference
+    interpreter could not execute either (class-confused operands, unknown branch
     targets). *)
 
 type cache

@@ -60,8 +60,6 @@ let shared_bank fn =
   Memory.shared_create
     (List.map (fun (s : Func.shared) -> (s.Func.s_elt, s.Func.s_size)) fn.Func.shared)
 
-type engine = Reference | Decoded
-
 (* The per-launch noise draw keeps [Runner]'s cross-launch rng sequencing
    (one [next] per launch), and each block derives a private stream from
    it — warp jitter is a function of (launch, block, warp), never of
@@ -74,187 +72,12 @@ let block_noise launch_seed block_id =
 let warps_per_block ~device ~block_dim =
   (block_dim + device.Device.warp_size - 1) / device.Device.warp_size
 
-(* One shard's result: the metrics sum plus the shard-private sinks its
-   warps recorded into. [Parallel.map_range] returns chunks in ascending
-   range order, so reducing the shard list front to back IS ascending
-   block order. *)
-type shard = {
-  s_metrics : Metrics.t;
-  s_atomics : Atomics.t;
-  s_races : Racecheck.t option;
-  s_trace : Trace.t option;
-}
-
-(* Fresh private sinks for one shard. The per-shard trace copies the
-   destination's limit so sharded truncation matches serial truncation
-   (see [Trace.append]). *)
-let shard_sinks ~tracer ~races mem =
-  ( Atomics.create mem,
-    Option.map (fun _ -> Racecheck.create ()) races,
-    Option.map (fun t -> Trace.create ~limit:(Trace.limit t) ()) tracer )
-
-(* Run the shards (worker-private per-block caches, [reset] per block:
-   every block starts cold, the per-SM L1 model) and reduce them in
-   ascending block order: sum metrics, commit the deferred atomic
-   deltas, merge the race collectors, splice the trace buffers. Each
-   reduction is order-deterministic, so metrics, final memory, race
-   reports, and traces are byte-identical for any [sim_jobs]/chunking. *)
-let reduce_shards ~tracer ~races ~grid_dim ~sim_jobs run_shard =
-  let shards =
-    if sim_jobs <= 1 then [ run_shard ~lo:0 ~hi:grid_dim ]
-    else Parallel.map_range ~jobs:sim_jobs ~n:grid_dim run_shard
-  in
-  let total = Metrics.create () in
-  List.iter
-    (fun s ->
-      Metrics.add total s.s_metrics;
-      Atomics.commit s.s_atomics;
-      (match races, s.s_races with
-      | Some into, Some src -> Racecheck.merge ~into src
-      | _ -> ());
-      (match tracer, s.s_trace with
-      | Some into, Some src -> Trace.append ~into src
-      | _ -> ()))
-    shards;
-  total
-
-let launch_decoded ~device ~noise ~max_warp_cycles ~tracer ~races ~decode_cache
-    ~sim_jobs mem fn ~grid_dim ~block_dim ~bound =
-  let prog =
-    match decode_cache with
-    | Some cache -> Decode.decode_cached cache device fn
-    | None -> Decode.decode device fn
-  in
-  (* Base env: the shard-private sink fields are placeholders, replaced
-     per shard below so no sink is ever shared across domains. *)
-  let env0 =
-    {
-      Warp.d_device = device;
-      prog;
-      d_mem = mem;
-      d_args = bound;
-      d_block_dim = block_dim;
-      d_grid_dim = grid_dim;
-      d_max_warp_cycles = max_warp_cycles;
-      d_tracer = None;
-      d_races = None;
-      d_atomics = Atomics.create mem;
-    }
-  in
-  let wpb = warps_per_block ~device ~block_dim in
-  let launch_seed = Option.map Rng.next noise in
-  let run_shard ~lo ~hi =
-    let s_atomics, s_races, s_trace = shard_sinks ~tracer ~races mem in
-    let env =
-      { env0 with Warp.d_tracer = s_trace; d_races = s_races; d_atomics = s_atomics }
-    in
-    (* One scratch state per warp slot: the warps of a block are live
-       concurrently under barrier scheduling, and each state is reused
-       across every block of the shard. *)
-    let sts = Array.init wpb (fun _ -> Warp.decoded_state env) in
-    let smem = shared_bank fn in
-    let icache = Layout.icache_create device in
-    let dcache = Cache.create ~capacity:device.Device.l1_lines in
-    let acc = Metrics.create () in
-    for block_id = lo to hi - 1 do
-      Cache.reset icache;
-      Cache.reset dcache;
-      Memory.shared_reset smem;
-      let noise = block_noise launch_seed block_id in
-      (* Ascending warp order: creation draws the per-warp noise, so the
-         RNG sequence stays a function of (block, warp). *)
-      let warps = ref [] in
-      for warp_id = 0 to wpb - 1 do
-        let base = warp_id * device.Device.warp_size in
-        let lanes = min device.Device.warp_size (block_dim - base) in
-        if lanes > 0 then
-          warps :=
-            Warp.make_decoded env sts.(warp_id) ~smem ~dcache ~icache ~noise
-              ~block_id ~warp_id ~lanes
-            :: !warps
-      done;
-      Metrics.add acc
-        (Scheduler.run_block ~fn_name:prog.Decode.fn_name ~block_id
-           (Array.of_list (List.rev !warps)))
-    done;
-    { s_metrics = acc; s_atomics; s_races; s_trace }
-  in
-  let total = reduce_shards ~tracer ~races ~grid_dim ~sim_jobs run_shard in
-  {
-    metrics = total;
-    kernel_cycles = Metrics.kernel_time total ~device;
-    code_bytes = Decode.code_bytes prog;
-  }
-
-let launch_reference ~device ~noise ~max_warp_cycles ~tracer ~races ~sim_jobs mem
-    fn ~grid_dim ~block_dim ~bound =
-  let layout = Layout.compute device fn in
-  let post = Uu_analysis.Dominance.compute_post fn in
-  (* Base env: the shard-private sink fields are placeholders, replaced
-     per shard below so no sink is ever shared across domains. *)
-  let env0 =
-    {
-      Warp.device;
-      fn;
-      mem;
-      layout;
-      ipdom = (fun l -> Uu_analysis.Dominance.idom post l);
-      args = bound;
-      block_dim;
-      grid_dim;
-      max_warp_cycles;
-      tracer = None;
-      races = None;
-      atomics = Atomics.create mem;
-    }
-  in
-  let wpb = warps_per_block ~device ~block_dim in
-  let launch_seed = Option.map Rng.next noise in
-  let run_shard ~lo ~hi =
-    let s_atomics, s_races, s_trace = shard_sinks ~tracer ~races mem in
-    let env =
-      { env0 with Warp.tracer = s_trace; races = s_races; atomics = s_atomics }
-    in
-    let smem = shared_bank fn in
-    let icache = Layout.icache_create device in
-    let dcache = Cache.create ~capacity:device.Device.l1_lines in
-    let acc = Metrics.create () in
-    for block_id = lo to hi - 1 do
-      Cache.reset icache;
-      Cache.reset dcache;
-      Memory.shared_reset smem;
-      let noise = block_noise launch_seed block_id in
-      (* Ascending warp order: creation draws the per-warp noise, so the
-         RNG sequence stays a function of (block, warp). *)
-      let warps = ref [] in
-      for warp_id = 0 to wpb - 1 do
-        let base = warp_id * device.Device.warp_size in
-        let lanes = min device.Device.warp_size (block_dim - base) in
-        if lanes > 0 then
-          warps :=
-            Warp.make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes
-            :: !warps
-      done;
-      Metrics.add acc
-        (Scheduler.run_block ~fn_name:fn.Func.name ~block_id
-           (Array.of_list (List.rev !warps)))
-    done;
-    { s_metrics = acc; s_atomics; s_races; s_trace }
-  in
-  let total = reduce_shards ~tracer ~races ~grid_dim ~sim_jobs run_shard in
-  {
-    metrics = total;
-    kernel_cycles = Metrics.kernel_time total ~device;
-    code_bytes = Layout.code_bytes layout;
-  }
-
 type launch_config = {
   device : Device.t;
   noise : Rng.t option;
   max_warp_cycles : int;
   tracer : Trace.t option;
   races : Racecheck.t option;
-  engine : engine;
   decode_cache : Decode.cache option;
   sim_jobs : int;
 }
@@ -266,39 +89,140 @@ let default_config =
     max_warp_cycles = 200_000_000;
     tracer = None;
     races = None;
-    engine = Decoded;
     decode_cache = None;
     sim_jobs = 1;
   }
 
 let config ?(device = Device.v100) ?noise ?(max_warp_cycles = 200_000_000)
-    ?tracer ?races ?(engine = Decoded) ?decode_cache ?(sim_jobs = 1) () =
-  { device; noise; max_warp_cycles; tracer; races; engine; decode_cache; sim_jobs }
+    ?tracer ?races ?decode_cache ?(sim_jobs = 1) () =
+  { device; noise; max_warp_cycles; tracer; races; decode_cache; sim_jobs }
 
-let exec ?(config = default_config) mem fn ~grid_dim ~block_dim ~args =
-  let {
-    device;
-    noise;
-    max_warp_cycles;
-    tracer;
-    races;
-    engine;
-    decode_cache;
-    sim_jobs;
-  } =
-    config
-  in
-  let bound = bind_args fn args in
+type sinks = {
+  s_atomics : Atomics.t;
+  s_races : Racecheck.t option;
+  s_tracer : Trace.t option;
+}
+
+type make_warp =
+  smem:Memory.shared_bank ->
+  dcache:int Cache.t ->
+  icache:Layout.icache ->
+  noise:Rng.t option ->
+  block_id:int ->
+  warp_id:int ->
+  lanes:int ->
+  Scheduler.warp
+
+(* Fresh private sinks for one shard. The per-shard trace copies the
+   destination's limit so sharded truncation matches serial truncation
+   (see [Trace.append]). *)
+let shard_sinks (config : launch_config) mem =
+  {
+    s_atomics = Atomics.create mem;
+    s_races = Option.map (fun _ -> Racecheck.create ()) config.races;
+    s_tracer =
+      Option.map (fun t -> Trace.create ~limit:(Trace.limit t) ()) config.tracer;
+  }
+
+(* Reduce the shards in ascending block order: sum metrics, commit the
+   deferred atomic deltas, merge the race collectors, splice the trace
+   buffers. [Parallel.map_range] returns chunks in ascending range
+   order, so reducing the shard list front to back IS ascending block
+   order. Each reduction is order-deterministic, so metrics, final
+   memory, race reports, and traces are byte-identical for any
+   [sim_jobs]/chunking. *)
+let reduce_shards (config : launch_config) shards =
+  let total = Metrics.create () in
+  List.iter
+    (fun (m, s) ->
+      Metrics.add total m;
+      Atomics.commit s.s_atomics;
+      (match config.races, s.s_races with
+      | Some into, Some src -> Racecheck.merge ~into src
+      | _ -> ());
+      match config.tracer, s.s_tracer with
+      | Some into, Some src -> Trace.append ~into src
+      | _ -> ())
+    shards;
+  total
+
+let grid_walk (config : launch_config) mem fn ~grid_dim ~block_dim ~code_bytes
+    shard_warps =
+  let device = config.device in
   (* No serial gates: tracing, race checking, atomics, and allocas are
      all deterministic under sharding (per-shard sinks reduced in block
      order at the join), so every launch shards freely. *)
   let sim_jobs =
-    if sim_jobs <= 1 || grid_dim <= 1 then 1 else min sim_jobs grid_dim
+    if config.sim_jobs <= 1 || grid_dim <= 1 then 1 else min config.sim_jobs grid_dim
   in
-  match engine with
-  | Decoded ->
-    launch_decoded ~device ~noise ~max_warp_cycles ~tracer ~races ~decode_cache
-      ~sim_jobs mem fn ~grid_dim ~block_dim ~bound
-  | Reference ->
-    launch_reference ~device ~noise ~max_warp_cycles ~tracer ~races ~sim_jobs mem
-      fn ~grid_dim ~block_dim ~bound
+  let wpb = warps_per_block ~device ~block_dim in
+  let launch_seed = Option.map Rng.next config.noise in
+  (* One shard: worker-private sinks and per-block caches, [reset] per
+     block — every block starts cold, the per-SM L1 model. *)
+  let run_shard ~lo ~hi =
+    let sinks = shard_sinks config mem in
+    let make_warp : make_warp = shard_warps sinks in
+    let smem = shared_bank fn in
+    let icache = Layout.icache_create device in
+    let dcache = Cache.create ~capacity:device.Device.l1_lines in
+    let acc = Metrics.create () in
+    for block_id = lo to hi - 1 do
+      Cache.reset icache;
+      Cache.reset dcache;
+      Memory.shared_reset smem;
+      let noise = block_noise launch_seed block_id in
+      (* Ascending warp order: creation draws the per-warp noise, so the
+         RNG sequence stays a function of (block, warp). *)
+      let warps = ref [] in
+      for warp_id = 0 to wpb - 1 do
+        let base = warp_id * device.Device.warp_size in
+        let lanes = min device.Device.warp_size (block_dim - base) in
+        if lanes > 0 then
+          warps :=
+            make_warp ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes :: !warps
+      done;
+      Metrics.add acc
+        (Scheduler.run_block ~fn_name:fn.Func.name ~block_id
+           (Array.of_list (List.rev !warps)))
+    done;
+    (acc, sinks)
+  in
+  let shards =
+    if sim_jobs <= 1 then [ run_shard ~lo:0 ~hi:grid_dim ]
+    else Parallel.map_range ~jobs:sim_jobs ~n:grid_dim run_shard
+  in
+  let total = reduce_shards config shards in
+  { metrics = total; kernel_cycles = Metrics.kernel_time total ~device; code_bytes }
+
+let exec ?(config = default_config) mem fn ~grid_dim ~block_dim ~args =
+  let bound = bind_args fn args in
+  let device = config.device in
+  let prog =
+    match config.decode_cache with
+    | Some cache -> Decode.decode_cached cache device fn
+    | None -> Decode.decode device fn
+  in
+  let wpb = warps_per_block ~device ~block_dim in
+  grid_walk config mem fn ~grid_dim ~block_dim ~code_bytes:(Decode.code_bytes prog)
+    (fun sinks ->
+      let env =
+        {
+          Warp.device;
+          prog;
+          mem;
+          args = bound;
+          block_dim;
+          grid_dim;
+          max_warp_cycles = config.max_warp_cycles;
+          tracer = sinks.s_tracer;
+          races = sinks.s_races;
+          atomics = sinks.s_atomics;
+        }
+      in
+      (* One scratch state per warp slot: the warps of a block are live
+         concurrently under barrier scheduling, and each state is reused
+         across every block of the shard. *)
+      let states = Array.init wpb (fun _ -> Warp.state env) in
+      fun ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes ->
+        Warp.make env states.(warp_id) ~smem ~dcache ~icache ~noise ~block_id
+          ~warp_id ~lanes)

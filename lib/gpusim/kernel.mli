@@ -10,9 +10,8 @@ val semantics_version : string
     change alters the metrics or final memory a launch produces for the
     same inputs (cost-model changes, the per-block L1 switch, barrier
     scheduling, ...). The harness folds it into result-cache keys so
-    entries computed under older semantics are never served. Engine
-    choice and [sim_jobs] are deliberately {e not} part of it — they are
-    metric-identical. *)
+    entries computed under older semantics are never served. [sim_jobs]
+    is deliberately {e not} part of it — it is metric-identical. *)
 
 type arg =
   | Buf of Memory.buffer
@@ -24,14 +23,6 @@ type result = {
   kernel_cycles : float;             (** summed warp cycles / concurrency *)
   code_bytes : int;                  (** laid-out size of this kernel *)
 }
-
-type engine =
-  | Reference
-      (** The original tree-walking interpreter over the IR: the oracle
-          the decoded engine is checked against. *)
-  | Decoded
-      (** Executes the pre-decoded flat program ({!Decode}); the default.
-          Cycle-for-cycle metric-identical to [Reference]. *)
 
 type launch_config = {
   device : Device.t;           (** simulated GPU model (default v100) *)
@@ -45,11 +36,9 @@ type launch_config = {
   races : Racecheck.t option;  (** write-set / shared-access collector;
                                    sharded launches collect per shard
                                    and merge in block order *)
-  engine : engine;             (** execution engine (default [Decoded]) *)
   decode_cache : Decode.cache option;
       (** memoizes the per-(function, device) decode across launches —
-          pass one cache for the lifetime of a compiled module (used
-          only by the decoded engine) *)
+          pass one cache for the lifetime of a compiled module *)
   sim_jobs : int;
       (** shard the launch's blocks over this many OCaml domains
           (default 1); metrics are byte-identical for any value *)
@@ -60,9 +49,9 @@ type launch_config = {
     typed value. *)
 
 val default_config : launch_config
-(** v100, no noise, 200M-cycle budget, no tracer or race collector,
-    decoded engine, no decode cache, [sim_jobs = 1] — byte-identical to
-    the historical defaults. *)
+(** v100, no noise, 200M-cycle budget, no tracer or race collector, no
+    decode cache, [sim_jobs = 1] — byte-identical to the historical
+    defaults. *)
 
 val config :
   ?device:Device.t ->
@@ -70,7 +59,6 @@ val config :
   ?max_warp_cycles:int ->
   ?tracer:Trace.t ->
   ?races:Racecheck.t ->
-  ?engine:engine ->
   ?decode_cache:Decode.cache ->
   ?sim_jobs:int ->
   unit ->
@@ -124,5 +112,55 @@ val exec :
     barrier interval.
 
     @raise Invalid_argument when arguments do not match the kernel's
-    parameters; @raise Failure on interpreter errors or on a divergent
+    parameters; @raise Failure on execution errors or on a divergent
     [__syncthreads()]. *)
+
+(** {1 The grid walk}
+
+    {!exec} is {!bind_args}, one {!Decode} of the kernel, and
+    {!grid_walk} over {!Warp.make}. The walk is exposed so the test-only
+    reference interpreter ([Uu_sim_oracle]) can launch through the very
+    same sharding, per-block cache resets, warp creation order, and
+    block-ordered reduction, supplying only its own warps. *)
+
+val bind_args : Func.t -> arg list -> (Value.var * Eval.rvalue) list
+(** Parameter bindings for a launch, followed by the kernel's shared
+    declarations (slot [k] bound to shared buffer [-2 - k]).
+    @raise Invalid_argument on an arity or type mismatch. *)
+
+type sinks = {
+  s_atomics : Atomics.t;
+  s_races : Racecheck.t option;
+  s_tracer : Trace.t option;
+}
+(** One shard's private sinks, fresh per shard and reduced in ascending
+    block order at the join. [s_races]/[s_tracer] are [Some] exactly
+    when the launch config asks for races/tracing. *)
+
+type make_warp =
+  smem:Memory.shared_bank ->
+  dcache:int Cache.t ->
+  icache:Layout.icache ->
+  noise:Rng.t option ->
+  block_id:int ->
+  warp_id:int ->
+  lanes:int ->
+  Scheduler.warp
+(** Create one warp of a block, with {!Warp.make}'s contract. *)
+
+val grid_walk :
+  launch_config ->
+  Memory.t ->
+  Func.t ->
+  grid_dim:int ->
+  block_dim:int ->
+  code_bytes:int ->
+  (sinks -> make_warp) ->
+  result
+(** [grid_walk config mem fn ~grid_dim ~block_dim ~code_bytes shard_warps]
+    runs the launch as {!exec} describes: [shard_warps] is called once
+    per shard with that shard's sinks and returns the shard's warp
+    constructor, which the walk calls per block in ascending warp order.
+    [code_bytes] is reported as is. Uses [config]'s device, noise,
+    tracer, races, and sim_jobs; [max_warp_cycles] and [decode_cache]
+    are the warp constructor's to honour. *)

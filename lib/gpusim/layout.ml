@@ -1,50 +1,5 @@
-open Uu_ir
-
-type t = {
-  extents : (Value.label, int * int) Hashtbl.t;
-  total : int;
-  line_bytes : int;
-}
-
-let compute (device : Device.t) f =
-  let extents = Hashtbl.create 32 in
-  let addr = ref 0 in
-  let place l =
-    let b = Func.block f l in
-    let count = List.length b.Block.phis + List.length b.Block.instrs + 1 in
-    let bytes = count * device.Device.instr_bytes in
-    Hashtbl.replace extents l (!addr, bytes);
-    addr := !addr + bytes
-  in
-  List.iter place (Cfg.reverse_postorder f);
-  (* Unreachable blocks still occupy space until cleaned up. *)
-  Func.iter_blocks
-    (fun b -> if not (Hashtbl.mem extents b.Block.label) then place b.Block.label)
-    f;
-  { extents; total = !addr; line_bytes = device.Device.icache_line_bytes }
-
-let code_bytes t = t.total
-
-let block_extent t l =
-  match Hashtbl.find_opt t.extents l with
-  | Some e -> e
-  | None -> (0, 0)
-
 type icache = int Cache.t
 
 let icache_create (device : Device.t) =
   Cache.create
     ~capacity:(max 1 (device.Device.icache_bytes / device.Device.icache_line_bytes))
-
-let touch_block c t l =
-  let start, bytes = block_extent t l in
-  if bytes = 0 then 0
-  else begin
-    let first = start / t.line_bytes in
-    let last = (start + bytes - 1) / t.line_bytes in
-    let misses = ref 0 in
-    for line = first to last do
-      if Cache.touch c line then incr misses
-    done;
-    !misses
-  end

@@ -4,7 +4,7 @@ open Uu_ir
    in a flat [float array], integers as native [int]s (the simulator's
    integer values are 63-bit; see the fit check in [storei]), pointers as
    parallel buffer/offset arrays. This keeps kernel-side loads and stores
-   allocation-free for the decoded engine, and makes host-side workload
+   allocation-free for the simulator, and makes host-side workload
    setup a plain array copy instead of an element-wise boxing map. *)
 type payload =
   | F of float array
@@ -148,7 +148,7 @@ let atomic_readf t ~buffer_id ~offset =
 
 let elt_size t ~buffer_id = (find t buffer_id).esz
 
-(* Allocation-free accessors for the decoded engine. *)
+(* Allocation-free accessors for the simulator. *)
 
 let fdata t ~buffer_id =
   let b = find t buffer_id in

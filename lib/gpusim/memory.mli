@@ -34,7 +34,12 @@ val bytes_moved : t -> int
 (** Total bytes copied between host and device (both directions) —
     the memory-transfer side of Table I's compute fraction. *)
 
-(** {1 Device-side access (used by the interpreter)} *)
+(** {1 Boxed device-side access}
+
+    These exist for the test-only reference interpreter ([Uu_sim_oracle]):
+    they read the private buffer representation, so the reference fails
+    with exactly the simulator's messages. The simulator itself uses the
+    unboxed accessors below. *)
 
 val load : t -> buffer_id:int -> offset:int -> Eval.rvalue
 (** @raise Failure on out-of-bounds or unknown buffer. *)
@@ -47,7 +52,7 @@ val atomic_add : t -> buffer_id:int -> offset:int -> Eval.rvalue -> Eval.rvalue
 val elt_size : t -> buffer_id:int -> int
 (** Element size in bytes, for coalescing computations. *)
 
-(** {1 Unboxed access (used by the decoded engine)}
+(** {1 Unboxed access (used by the simulator)}
 
     Allocation-free counterparts of {!load}/{!store}. Integer values are
     native [int]s — the simulator's integer domain is 63-bit (storing a
@@ -121,12 +126,13 @@ val bank_alloca : shared_bank -> Types.t -> int -> int
     the declaration slots and return its (negative) buffer id. Arena ids
     count up from [-2 - decls] in allocation order, and {!shared_reset}
     reclaims them — so within a block, an arena's id is a pure function
-    of the block's own deterministic execution order. Backs [Alloca] in
-    both engines (each warp-level [Alloca] allocates one arena with a
-    private cell per lane). *)
+    of the block's own deterministic execution order. Backs [Alloca]
+    (each warp-level [Alloca] allocates one arena with a private cell
+    per lane). *)
 
 val shared_load : shared_bank -> buffer_id:int -> offset:int -> Eval.rvalue
-(** @raise Failure on out-of-bounds or unknown shared buffer. *)
+(** Boxed, for the reference interpreter like {!load}.
+    @raise Failure on out-of-bounds or unknown shared buffer. *)
 
 val shared_store : shared_bank -> buffer_id:int -> offset:int -> Eval.rvalue -> unit
 

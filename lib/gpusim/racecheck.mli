@@ -45,12 +45,12 @@ type shared_race = {
 val create : unit -> t
 
 val record : t -> block_id:int -> buffer:int -> offset:int -> unit
-(** Called by the warp engines on every global plain store, once per
+(** Called by the warp executors on every global plain store, once per
     active lane. Shared stores must NOT be recorded here — their ids
     repeat across blocks and would report false overlaps. *)
 
 val record_atomic : t -> block_id:int -> buffer:int -> offset:int -> unit
-(** Called by the warp engines on every global [Atomic_add], once per
+(** Called by the warp executors on every global [Atomic_add], once per
     active lane. Atomic-only cells never count as overlaps; a cell both
     plain-written and atomically updated by distinct blocks does. *)
 
@@ -69,7 +69,7 @@ val record_shared :
   epoch:int ->
   write:bool ->
   unit
-(** Called by the warp engines on every shared load, store, and atomic
+(** Called by the warp executors on every shared load, store, and atomic
     update, once per active lane. [thread_id] is the flat thread index
     within the block ([warp_id * warp_size + lane]); [epoch] is the
     block-global barrier interval maintained by the scheduler — the

@@ -1,5 +1,6 @@
 (* The block-level barrier scheduler: the one owner of the
-   warps-within-a-block execution loop for both engines.
+   warps-within-a-block execution loop, for the simulator's warps and
+   the reference interpreter's alike.
 
    A block's warps are resumable computations ([Warp.step] /
    [Warp.step_decoded]) that run until they either arrive at a

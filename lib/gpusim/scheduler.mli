@@ -1,6 +1,7 @@
 (** The block-level barrier scheduler.
 
-    Owns the warps-within-a-block execution loop for both engines: warps
+    Owns the warps-within-a-block execution loop (for {!Warp} and for
+    the test oracle's reference warps): warps
     are resumable computations that run until they arrive at a
     [__syncthreads()] barrier or exit, and the scheduler drives them in
     warp-order rounds, verifies barrier convergence, advances the

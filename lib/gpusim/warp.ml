@@ -1,518 +1,32 @@
 open Uu_ir
 open Uu_support
 
-(* The env carries launch-wide state that is immutable (or, for [mem],
-   written at block-disjoint cells) during the grid walk, plus the
-   shard-private sinks: [Kernel] builds one base env per launch and then
-   one copy per shard with fresh [tracer]/[races]/[atomics], so nothing
-   here is ever mutated by two domains. All mutable per-block state —
-   the per-SM L1 model, icache residency, the noise stream — is passed
-   to [make] per block. *)
-type launch_env = {
+(* Launch-wide state that is immutable (or, for [mem], written at
+   block-disjoint cells) during the grid walk, plus the shard-private
+   sinks: [Kernel] builds one env per shard with fresh
+   [tracer]/[races]/[atomics], so nothing here is ever mutated by two
+   domains. The per-block caches and the noise stream are arguments of
+   [make]. *)
+type env = {
   device : Device.t;
-  fn : Func.t;
+  prog : Decode.t;
   mem : Memory.t;
-  layout : Layout.t;
-  ipdom : Value.label -> Value.label option;
   args : (Value.var * Eval.rvalue) list;
   block_dim : int;
   grid_dim : int;
   max_warp_cycles : int;
-  tracer : Trace.t option;  (* shard-private event buffer *)
-  races : Racecheck.t option;  (* shard-private write-overlap collector *)
-  atomics : Atomics.t;  (* shard-private deferred-commit atomics view *)
+  tracer : Trace.t option;
+  races : Racecheck.t option;
+  atomics : Atomics.t;
 }
 
-type entry = {
-  mutable block : Value.label;
-  mutable mask : Mask.t;
-  rpc : Value.label option;
-}
-
-let default_of_ty = function
-  | Types.F64 -> Eval.Float 0.0
-  | Types.I1 | Types.I32 | Types.I64 -> Eval.Int 0L
-  | Types.Ptr _ -> Eval.Ptr { buffer = -1; offset = 0 }
-  | Types.Void -> Eval.Int 0L
-
-let make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes =
-  let d = env.device in
-  let fn = env.fn in
-  let m = Metrics.create () in
-  m.Metrics.warps_launched <- 1;
-  let nvars = fn.Func.next_var in
-  let regs = Array.init d.Device.warp_size (fun _ -> Array.make nvars (Eval.Int 0L)) in
-  List.iter
-    (fun (v, value) -> Array.iter (fun r -> r.(v) <- value) regs)
-    env.args;
-  let prev = Array.make d.Device.warp_size (-1) in
-  let retired = ref Mask.empty in
-  (* Per-warp memory jitter factor, the source of run-to-run variance.
-     [noise] is the block's private stream and the launcher creates a
-     block's warps in ascending warp order, so the draw sequence is a
-     function of (block, warp) alone, not of grid execution order. *)
-  let mem_factor =
-    match noise with
-    | Some rng -> Float.max 0.5 (Rng.gaussian rng ~mean:1.0 ~stddev:0.03)
-    | None -> 1.0
-  in
-  let mem_cost transactions =
-    int_of_float
-      (Float.round
-         (mem_factor *. float_of_int (d.Device.mem_transaction_cost * transactions)))
-  in
-  let eval lane v =
-    match v with
-    | Value.Var x -> regs.(lane).(x)
-    | Value.Imm_int (n, ty) -> Eval.Int (Eval.normalize ty n)
-    | Value.Imm_float x -> Eval.Float x
-    | Value.Undef ty -> default_of_ty ty
-  in
-  let charge ?(misc = 0) ?(control = 0) ?(memory = 0) ~cycles ~active () =
-    m.Metrics.cycles <- m.Metrics.cycles + cycles;
-    m.Metrics.warp_instrs <- m.Metrics.warp_instrs + 1;
-    m.Metrics.thread_instrs <- m.Metrics.thread_instrs + active;
-    m.Metrics.active_lane_sum <- m.Metrics.active_lane_sum + active;
-    m.Metrics.inst_misc <- m.Metrics.inst_misc + misc;
-    m.Metrics.inst_control <- m.Metrics.inst_control + control;
-    m.Metrics.inst_memory <- m.Metrics.inst_memory + memory
-  in
-  (* Distinct memory segments for the given per-lane pointers (in lane
-     order), split into L1 hits and misses. Segments are classified in
-     first-touching-lane order so the LRU touch sequence is deterministic
-     and engine-independent (a hashtable fold here would make hit/miss
-     counts depend on hash iteration order). *)
-  let transactions_of ptrs =
-    let seen = Hashtbl.create 8 in
-    List.fold_left
-      (fun (hits, misses) (buffer, offset) ->
-        let esz = Memory.elt_size env.mem ~buffer_id:buffer in
-        let seg = offset * esz / d.Device.transaction_bytes in
-        let key = (buffer, seg) in
-        if Hashtbl.mem seen key then (hits, misses)
-        else begin
-          Hashtbl.replace seen key ();
-          if Cache.touch dcache key then (hits, misses + 1) else (hits + 1, misses)
-        end)
-      (0, 0) ptrs
-  in
-  (* Replay rounds for the shared pointers of one warp access: distinct
-     (buffer, word) pairs count once (same-word lanes are a broadcast),
-     and the access replays once per entry of the deepest bank queue.
-     0 when the access touches no shared memory; order-independent. *)
-  let shared_replays ptrs =
-    match ptrs with
-    | [] -> 0
-    | _ ->
-      let seen = Hashtbl.create 8 in
-      let banks = Array.make d.Device.shared_banks 0 in
-      let r = ref 0 in
-      List.iter
-        (fun (buffer, offset) ->
-          let esz = Memory.shared_elt_size smem ~buffer_id:buffer in
-          let word = offset * esz / d.Device.shared_bank_bytes in
-          let key = (buffer, word) in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.replace seen key ();
-            let bank = word mod d.Device.shared_banks in
-            banks.(bank) <- banks.(bank) + 1;
-            if banks.(bank) > !r then r := banks.(bank)
-          end)
-        ptrs;
-      !r
-  in
-  let expect_ptr = function
-    | Eval.Ptr { buffer; offset } -> (buffer, offset)
-    | Eval.Int _ | Eval.Float _ -> failwith "simulator: address is not a pointer"
-  in
-  let live_streams = ref 1 in
-  (* Barrier interval for the shared-race audit: block-global, set by
-     the scheduler at each [step] to the number of barriers the block
-     has released so far. *)
-  let epoch = ref 0 in
-  let exec_instr mask instr =
-    let active = Mask.popcount mask in
-    match instr with
-    | Instr.Binop { dst; op; ty; lhs; rhs } ->
-      Mask.iter
-        (fun lane -> regs.(lane).(dst) <- Eval.binop op ty (eval lane lhs) (eval lane rhs))
-        mask;
-      let cycles =
-        match op with
-        | Instr.Sdiv | Instr.Udiv | Instr.Srem | Instr.Fdiv -> d.Device.div_cost
-        | Instr.Fadd | Instr.Fsub | Instr.Fmul -> d.Device.fpu_cost
-        | _ -> d.Device.alu_cost
-      in
-      charge ~cycles ~active ()
-    | Instr.Cmp { dst; op; lhs; rhs; _ } ->
-      Mask.iter
-        (fun lane -> regs.(lane).(dst) <- Eval.cmp op (eval lane lhs) (eval lane rhs))
-        mask;
-      charge ~cycles:d.Device.alu_cost ~active ()
-    | Instr.Unop { dst; op; src } ->
-      Mask.iter (fun lane -> regs.(lane).(dst) <- Eval.unop op (eval lane src)) mask;
-      charge ~cycles:d.Device.alu_cost ~active ()
-    | Instr.Select { dst; cond; if_true; if_false; _ } ->
-      Mask.iter
-        (fun lane ->
-          let c = eval lane cond in
-          regs.(lane).(dst) <-
-            (if Eval.is_true c then eval lane if_true else eval lane if_false))
-        mask;
-      (* selp-style predication: counted as a miscellaneous instruction,
-         like the movs/selps of §V. *)
-      charge ~misc:active ~cycles:d.Device.alu_cost ~active ()
-    | Instr.Gep { dst; base; index; _ } ->
-      Mask.iter
-        (fun lane ->
-          let buffer, offset = expect_ptr (eval lane base) in
-          let idx =
-            match eval lane index with
-            | Eval.Int n -> Int64.to_int n
-            | Eval.Float _ | Eval.Ptr _ -> failwith "simulator: gep index not an int"
-          in
-          regs.(lane).(dst) <- Eval.Ptr { buffer; offset = offset + idx })
-        mask;
-      charge ~cycles:d.Device.alu_cost ~active ()
-    | Instr.Load { dst; ty; addr } ->
-      let gptrs = ref [] and sptrs = ref [] and n_shared = ref 0 in
-      Mask.iter
-        (fun lane ->
-          let buffer, offset = expect_ptr (eval lane addr) in
-          if Memory.is_shared buffer then begin
-            sptrs := (buffer, offset) :: !sptrs;
-            incr n_shared;
-            (match env.races with
-            | Some r ->
-              Racecheck.record_shared r ~block_id
-                ~thread_id:((warp_id * d.Device.warp_size) + lane)
-                ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:false
-            | None -> ());
-            regs.(lane).(dst) <- Memory.shared_load smem ~buffer_id:buffer ~offset
-          end
-          else begin
-            gptrs := (buffer, offset) :: !gptrs;
-            regs.(lane).(dst) <- Memory.load env.mem ~buffer_id:buffer ~offset
-          end)
-        mask;
-      let hits, misses = transactions_of (List.rev !gptrs) in
-      let replays = shared_replays (List.rev !sptrs) in
-      m.Metrics.mem_transactions <- m.Metrics.mem_transactions + hits + misses;
-      m.Metrics.shared_transactions <- m.Metrics.shared_transactions + replays;
-      if replays > 1 then
-        m.Metrics.shared_bank_conflicts <-
-          m.Metrics.shared_bank_conflicts + (replays - 1);
-      m.Metrics.gld_bytes <-
-        m.Metrics.gld_bytes + ((active - !n_shared) * Types.size_bytes ty);
-      m.Metrics.sld_bytes <-
-        m.Metrics.sld_bytes + (!n_shared * Types.size_bytes ty);
-      (* Dependent-load latency: DRAM on any miss, L1 on any hit, shared
-         pipe otherwise; hidden across the live divergent groups of this
-         warp (Volta independent thread scheduling). *)
-      let latency =
-        if misses > 0 then d.Device.mem_dep_latency
-        else if hits > 0 then d.Device.l1_hit_latency
-        else d.Device.smem_latency
-      in
-      let exposed =
-        if d.Device.its_latency_hiding then latency / max 1 !live_streams
-        else latency
-      in
-      charge ~memory:active
-        ~cycles:
-          (d.Device.mem_issue_cost + (hits * d.Device.l1_hit_cost)
-          + mem_cost misses
-          + (replays * d.Device.smem_cost)
-          + exposed)
-        ~active ()
-    | Instr.Store { ty; addr; value } ->
-      let gptrs = ref [] and sptrs = ref [] and n_shared = ref 0 in
-      Mask.iter
-        (fun lane ->
-          let buffer, offset = expect_ptr (eval lane addr) in
-          if Memory.is_shared buffer then begin
-            sptrs := (buffer, offset) :: !sptrs;
-            incr n_shared;
-            (match env.races with
-            | Some r ->
-              Racecheck.record_shared r ~block_id
-                ~thread_id:((warp_id * d.Device.warp_size) + lane)
-                ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:true
-            | None -> ());
-            Memory.shared_store smem ~buffer_id:buffer ~offset (eval lane value)
-          end
-          else begin
-            gptrs := (buffer, offset) :: !gptrs;
-            Memory.store env.mem ~buffer_id:buffer ~offset (eval lane value)
-          end)
-        mask;
-      (match env.races with
-      | Some r ->
-        List.iter
-          (fun (buffer, offset) -> Racecheck.record r ~block_id ~buffer ~offset)
-          !gptrs
-      | None -> ());
-      let hits, misses = transactions_of (List.rev !gptrs) in
-      let replays = shared_replays (List.rev !sptrs) in
-      m.Metrics.mem_transactions <- m.Metrics.mem_transactions + hits + misses;
-      m.Metrics.shared_transactions <- m.Metrics.shared_transactions + replays;
-      if replays > 1 then
-        m.Metrics.shared_bank_conflicts <-
-          m.Metrics.shared_bank_conflicts + (replays - 1);
-      m.Metrics.gst_bytes <-
-        m.Metrics.gst_bytes + ((active - !n_shared) * Types.size_bytes ty);
-      m.Metrics.sst_bytes <-
-        m.Metrics.sst_bytes + (!n_shared * Types.size_bytes ty);
-      charge ~memory:active
-        ~cycles:
-          (d.Device.mem_issue_cost + (hits * d.Device.l1_hit_cost)
-          + mem_cost misses
-          + (replays * d.Device.smem_cost))
-        ~active ()
-    | Instr.Atomic_add { dst; addr; value; _ } ->
-      (* Atomics serialize per lane. Shared-space atomics never touch the
-         inter-block recorder: shared ids repeat across blocks. *)
-      Mask.iter
-        (fun lane ->
-          let buffer, offset = expect_ptr (eval lane addr) in
-          if Memory.is_shared buffer then begin
-            (match env.races with
-            | Some r ->
-              Racecheck.record_shared r ~block_id
-                ~thread_id:((warp_id * d.Device.warp_size) + lane)
-                ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:true
-            | None -> ());
-            regs.(lane).(dst) <-
-              Memory.shared_atomic_add smem ~buffer_id:buffer ~offset
-                (eval lane value)
-          end
-          else begin
-            (match env.races with
-            | Some r -> Racecheck.record_atomic r ~block_id ~buffer ~offset
-            | None -> ());
-            regs.(lane).(dst) <-
-              Atomics.add env.atomics ~block_id ~buffer ~offset (eval lane value)
-          end)
-        mask;
-      m.Metrics.mem_transactions <- m.Metrics.mem_transactions + active;
-      charge ~memory:active ~cycles:(d.Device.atomic_cost * max 1 active) ~active ()
-    | Instr.Intrinsic { dst; op; args } ->
-      Mask.iter
-        (fun lane ->
-          regs.(lane).(dst) <- Eval.intrinsic op (List.map (eval lane) args))
-        mask;
-      charge ~cycles:d.Device.intrinsic_cost ~active ()
-    | Instr.Special { dst; op } ->
-      Mask.iter
-        (fun lane ->
-          let v =
-            match op with
-            | Instr.Thread_idx -> (warp_id * d.Device.warp_size) + lane
-            | Instr.Block_idx -> block_id
-            | Instr.Block_dim -> env.block_dim
-            | Instr.Grid_dim -> env.grid_dim
-          in
-          regs.(lane).(dst) <- Eval.Int (Int64.of_int v))
-        mask;
-      charge ~cycles:d.Device.alu_cost ~active ()
-    | Instr.Alloca { dst; ty } ->
-      (* One cell per lane, so each lane gets a private slot. Arenas live
-         in the block's shared bank: their ids are a pure function of
-         (block, allocation index within the block), so they are
-         identical at any shard width, and the bank drops them wholesale
-         at the next block entry. *)
-      let bid = Memory.bank_alloca smem ty d.Device.warp_size in
-      Mask.iter
-        (fun lane -> regs.(lane).(dst) <- Eval.Ptr { buffer = bid; offset = lane })
-        mask;
-      charge ~cycles:d.Device.alu_cost ~active ()
-    | Instr.Syncthreads ->
-      (* Intercepted by the block walker below, which suspends the warp
-         at the barrier; reaching it here would bypass the scheduler. *)
-      assert false
-  in
-  let exec_phis mask b =
-    match b.Block.phis with
-    | [] -> ()
-    | phis ->
-      (* Parallel evaluation: gather all new values before writing. *)
-      let updates = ref [] in
-      List.iter
-        (fun (p : Instr.phi) ->
-          Mask.iter
-            (fun lane ->
-              let pred = prev.(lane) in
-              match List.assoc_opt pred p.incoming with
-              | Some v -> updates := (lane, p.dst, eval lane v) :: !updates
-              | None ->
-                failwith
-                  (Printf.sprintf
-                     "simulator: phi in bb%d has no incoming for predecessor bb%d"
-                     b.Block.label pred))
-            mask;
-          let active = Mask.popcount mask in
-          charge ~misc:active ~cycles:d.Device.alu_cost ~active ())
-        phis;
-      List.iter (fun (lane, dst, v) -> regs.(lane).(dst) <- v) !updates
-  in
-  (* A __syncthreads() executed with a partial mask — some lanes of the
-     warp retired or sit on the other side of a divergent branch — is the
-     intra-warp form of the divergent-barrier error (the inter-warp form,
-     a whole warp missing the barrier, is the scheduler's to detect). *)
-  let exec_sync mask =
-    if not (Mask.equal mask (Mask.full ~width:lanes)) then
-      failwith
-        (Printf.sprintf
-           "simulator: divergent __syncthreads() in @%s: warp %d of block %d \
-            hit the barrier with %d of %d lanes"
-           fn.Func.name warp_id block_id (Mask.popcount mask) lanes);
-    charge ~cycles:d.Device.sync_cost ~active:(Mask.popcount mask) ()
-  in
-  (* Walk a block's instruction tail; [Some rest] means the warp arrived
-     at a barrier (already charged) with [rest] still to execute. *)
-  let rec exec_instrs mask = function
-    | [] -> None
-    | Instr.Syncthreads :: rest ->
-      exec_sync mask;
-      Some rest
-    | i :: rest ->
-      exec_instr mask i;
-      exec_instrs mask rest
-  in
-  let stack : entry list ref =
-    ref [ { block = fn.Func.entry; mask = Mask.full ~width:lanes; rpc = None } ]
-  in
-  let set_prev mask cur = Mask.iter (fun lane -> prev.(lane) <- cur) mask in
-  let pop () = match !stack with [] -> () | _ :: rest -> stack := rest in
-  let push e = stack := e :: !stack in
-  (* Instructions left in the current block when the warp suspended at a
-     barrier — the resume point. The rest of the live state (registers,
-     [prev], [retired], the reconvergence stack) survives in this
-     closure across suspensions. *)
-  let pending = ref None in
-  let step ~epoch:interval =
-    epoch := interval;
-    let status = ref None in
-    while Option.is_none !status do
-      match !stack with
-      | [] -> status := Some Scheduler.Exited
-      | top :: _ ->
-        if m.Metrics.cycles > env.max_warp_cycles then
-          failwith
-            (Printf.sprintf
-               "simulator: warp exceeded %d cycles in @%s (infinite loop?)"
-               env.max_warp_cycles fn.Func.name);
-        let mask = Mask.diff top.mask !retired in
-        if Mask.is_empty mask then pop ()
-        else if Some top.block = top.rpc then pop ()
-        else begin
-          live_streams := List.length !stack;
-          let b = Func.block fn top.block in
-          let instrs =
-            match !pending with
-            | Some rest ->
-              (* Resuming mid-block: trace, fetch, and phis already
-                 happened when the block was entered. *)
-              pending := None;
-              rest
-            | None ->
-              (match env.tracer with
-              | Some t ->
-                Trace.record t { Trace.block_id; warp_id; label = top.block; mask }
-              | None -> ());
-              let misses = Layout.touch_block icache env.layout top.block in
-              if misses > 0 then begin
-                let stall = misses * d.Device.fetch_miss_penalty in
-                m.Metrics.cycles <- m.Metrics.cycles + stall;
-                m.Metrics.fetch_stall_cycles <- m.Metrics.fetch_stall_cycles + stall
-              end;
-              exec_phis mask b;
-              b.Block.instrs
-          in
-          match exec_instrs mask instrs with
-          | Some rest ->
-            pending := Some rest;
-            status := Some Scheduler.Arrived
-          | None -> (
-            let cur = top.block in
-            let active = Mask.popcount mask in
-            match b.Block.term with
-            | Instr.Ret _ ->
-              charge ~control:active ~cycles:d.Device.branch_cost ~active ();
-              retired := Mask.union !retired mask;
-              pop ()
-            | Instr.Unreachable ->
-              failwith (Printf.sprintf "simulator: reached unreachable bb%d" cur)
-            | Instr.Br target ->
-              charge ~control:active ~cycles:d.Device.branch_cost ~active ();
-              set_prev mask cur;
-              if Some target = top.rpc then pop () else top.block <- target
-            | Instr.Cond_br { cond; if_true; if_false } ->
-              charge ~control:active ~cycles:d.Device.branch_cost ~active ();
-              let m_t = ref Mask.empty in
-              Mask.iter
-                (fun lane ->
-                  if Eval.is_true (eval lane cond) then m_t := Mask.add lane !m_t)
-                mask;
-              let m_t = !m_t in
-              let m_f = Mask.diff mask m_t in
-              set_prev mask cur;
-              if Mask.is_empty m_f then begin
-                if Some if_true = top.rpc then pop () else top.block <- if_true
-              end
-              else if Mask.is_empty m_t then begin
-                if Some if_false = top.rpc then pop () else top.block <- if_false
-              end
-              else begin
-                m.Metrics.divergent_branches <- m.Metrics.divergent_branches + 1;
-                m.Metrics.cycles <- m.Metrics.cycles + d.Device.divergence_penalty;
-                let r = env.ipdom cur in
-                pop ();
-                (match r with
-                | Some rp -> push { block = rp; mask; rpc = top.rpc }
-                | None -> ());
-                let part_rpc = match r with Some _ -> r | None -> top.rpc in
-                if Some if_false <> part_rpc then
-                  push { block = if_false; mask = m_f; rpc = part_rpc };
-                if Some if_true <> part_rpc then
-                  push { block = if_true; mask = m_t; rpc = part_rpc }
-              end)
-        end
-    done;
-    Option.get !status
-  in
-  { Scheduler.step; metrics = m }
-
-(* ------------------------------------------------------------------ *)
-(* Decoded engine: the same machine run over [Decode.t] programs.      *)
-(* Every charge, cache touch, RNG draw, and failure message below      *)
-(* replicates [make] exactly; only the representation changed.         *)
-(* ------------------------------------------------------------------ *)
-
-(* Like [launch_env]: launch-wide immutable state plus the shard-private
-   sinks ([d_tracer]/[d_races]/[d_atomics] are fresh per shard); the
-   caches and the noise stream are per-block arguments of
-   [make_decoded]. *)
-type decoded_env = {
-  d_device : Device.t;
-  prog : Decode.t;
-  d_mem : Memory.t;
-  d_args : (Value.var * Eval.rvalue) list;
-  d_block_dim : int;
-  d_grid_dim : int;
-  d_max_warp_cycles : int;
-  d_tracer : Trace.t option;
-  d_races : Racecheck.t option;
-  d_atomics : Atomics.t;
-}
-
-(* Per-warp scratch, re-initialised by [make_decoded] and reused across
+(* Per-warp scratch, re-initialised by [make] and reused across
    the blocks of a shard: unboxed register files (one row of [warp_size]
    lanes per slot), phi staging, the reconvergence stack as parallel int
    arrays, and coalescing scratch. Each concurrently-live warp of a
    block needs its own state — register files stay alive across barrier
    suspensions while other warps run. *)
-type decoded_state = {
+type state = {
   fregs : float array;
   iregs : int array;
   pregs_buf : int array;
@@ -534,8 +48,8 @@ type decoded_state = {
   sx_cnt : int array;
 }
 
-let decoded_state (env : decoded_env) =
-  let ws = env.d_device.Device.warp_size in
+let state (env : env) =
+  let ws = env.device.Device.warp_size in
   let p = env.prog in
   let st =
     {
@@ -557,7 +71,7 @@ let decoded_state (env : decoded_env) =
       sx_buf = Array.make ws 0;
       sx_off = Array.make ws 0;
       sx_seen = Array.make ws 0;
-      sx_cnt = Array.make (max 1 env.d_device.Device.shared_banks) 0;
+      sx_cnt = Array.make (max 1 env.device.Device.shared_banks) 0;
     }
   in
   (* Parameters are warp-invariant, so their register rows are written
@@ -573,7 +87,7 @@ let decoded_state (env : decoded_env) =
       | Eval.Ptr { buffer; offset } ->
         Array.fill st.pregs_buf base ws buffer;
         Array.fill st.pregs_off base ws offset)
-    env.d_args;
+    env.args;
   st
 
 (* Copy of [Mask.popcount]'s SWAR (masks never set bit 62), kept here so
@@ -656,9 +170,9 @@ let icmp_exec op x y =
   | Instr.Uge -> b2i (x lxor min_int >= y lxor min_int)
   | _ -> assert false
 
-let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
-    ~noise ~block_id ~warp_id ~lanes =
-  let d = env.d_device in
+let make (env : env) (st : state) ~smem ~dcache ~icache ~noise ~block_id ~warp_id
+    ~lanes =
+  let d = env.device in
   let p = env.prog in
   let ws = d.Device.warp_size in
   let blocks = p.Decode.blocks in
@@ -668,6 +182,10 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
   let pbuf = st.pregs_buf and poff = st.pregs_off in
   Array.fill st.dprev 0 ws (-1);
   let retired = ref 0 in
+  (* Per-warp memory jitter factor, the source of run-to-run variance.
+     [noise] is the block's private stream and the launcher creates a
+     block's warps in ascending warp order, so the draw sequence is a
+     function of (block, warp) alone, not of grid execution order. *)
   let mem_factor =
     match noise with
     | Some rng -> Float.max 0.5 (Rng.gaussian rng ~mean:1.0 ~stddev:0.03)
@@ -689,12 +207,14 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
   in
   (* Classify the [n] pointers staged in [tx_buf]/[tx_off] (lane order)
      into L1 hits and misses, deduplicating segments in
-     first-touching-lane order exactly like [transactions_of]. *)
+     first-touching-lane order so the LRU touch sequence is
+     deterministic (a hashtable fold would make hit/miss counts depend
+     on hash iteration order). *)
   let classify n =
     let hits = ref 0 and misses = ref 0 and nseen = ref 0 in
     for j = 0 to n - 1 do
       let buffer = st.tx_buf.(j) in
-      let esz = Memory.elt_size env.d_mem ~buffer_id:buffer in
+      let esz = Memory.elt_size env.mem ~buffer_id:buffer in
       let seg = st.tx_off.(j) * esz / d.Device.transaction_bytes in
       let key = (buffer lsl 32) lor seg in
       let dup = ref false in
@@ -710,9 +230,9 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
     (!hits, !misses)
   in
   (* Replay rounds for the [ns] shared pointers staged in
-     [sx_buf]/[sx_off] — the same model as the reference engine's
-     [shared_replays]: distinct (buffer, word) pairs count once and the
-     result is the deepest bank queue. *)
+     [sx_buf]/[sx_off]: distinct (buffer, word) pairs count once
+     (same-word lanes are a broadcast) and the access replays once per
+     entry of the deepest bank queue. *)
   let shared_replays ns =
     if ns = 0 then 0
     else begin
@@ -741,7 +261,8 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
   in
   let live_streams = ref 1 in
   (* Barrier interval for the shared-race audit: block-global, set by
-     the scheduler at each [step], as in [make]. *)
+     the scheduler at each [step] to the number of barriers the block
+     has released so far. *)
   let epoch = ref 0 in
   (* Lane loops walk the mask by shifting it right one lane per
      iteration — ascending lane order, two ALU ops per lane, and operand
@@ -1051,7 +572,7 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
             st.sx_buf.(!ns) <- buffer;
             st.sx_off.(!ns) <- offset;
             incr ns;
-            (match env.d_races with
+            (match env.races with
             | Some r ->
               Racecheck.record_shared r ~block_id ~thread_id:((warp_id * ws) + !l)
                 ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:false
@@ -1064,7 +585,7 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
             st.tx_off.(!n) <- offset;
             incr n;
             Array.unsafe_set iregs (base + !l)
-              (Memory.loadi env.d_mem ~buffer_id:buffer ~offset)
+              (Memory.loadi env.mem ~buffer_id:buffer ~offset)
           end
         end;
         incr l;
@@ -1113,7 +634,7 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
             st.sx_buf.(!ns) <- buffer;
             st.sx_off.(!ns) <- offset;
             incr ns;
-            (match env.d_races with
+            (match env.races with
             | Some r ->
               Racecheck.record_shared r ~block_id ~thread_id:((warp_id * ws) + !l)
                 ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:false
@@ -1127,7 +648,7 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
             st.tx_buf.(!n) <- buffer;
             st.tx_off.(!n) <- offset;
             incr n;
-            let a = Memory.fdata env.d_mem ~buffer_id:buffer in
+            let a = Memory.fdata env.mem ~buffer_id:buffer in
             if offset < 0 || offset >= Array.length a then
               oob buffer offset (Array.length a);
             Array.unsafe_set fregs (base + !l) (Array.unsafe_get a offset)
@@ -1182,7 +703,7 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
             st.sx_buf.(!ns) <- buffer;
             st.sx_off.(!ns) <- offset;
             incr ns;
-            (match env.d_races with
+            (match env.races with
             | Some r ->
               Racecheck.record_shared r ~block_id ~thread_id:((warp_id * ws) + !l)
                 ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:false
@@ -1195,7 +716,7 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
             st.tx_buf.(!n) <- buffer;
             st.tx_off.(!n) <- offset;
             incr n;
-            let vb, vo = Memory.loadp env.d_mem ~buffer_id:buffer ~offset in
+            let vb, vo = Memory.loadp env.mem ~buffer_id:buffer ~offset in
             Array.unsafe_set pbuf (base + !l) vb;
             Array.unsafe_set poff (base + !l) vo
           end
@@ -1250,7 +771,7 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
             st.sx_buf.(!ns) <- buffer;
             st.sx_off.(!ns) <- offset;
             incr ns;
-            (match env.d_races with
+            (match env.races with
             | Some r ->
               Racecheck.record_shared r ~block_id ~thread_id:((warp_id * ws) + !l)
                 ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:true
@@ -1261,13 +782,13 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
             st.tx_buf.(!n) <- buffer;
             st.tx_off.(!n) <- offset;
             incr n;
-            Memory.storei env.d_mem ~buffer_id:buffer ~offset v
+            Memory.storei env.mem ~buffer_id:buffer ~offset v
           end
         end;
         incr l;
         mm := !mm lsr 1
       done;
-      (match env.d_races with
+      (match env.races with
       | Some r ->
         for j = 0 to !n - 1 do
           Racecheck.record r ~block_id ~buffer:st.tx_buf.(j) ~offset:st.tx_off.(j)
@@ -1311,7 +832,7 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
             st.sx_buf.(!ns) <- buffer;
             st.sx_off.(!ns) <- offset;
             incr ns;
-            (match env.d_races with
+            (match env.races with
             | Some r ->
               Racecheck.record_shared r ~block_id ~thread_id:((warp_id * ws) + !l)
                 ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:true
@@ -1325,7 +846,7 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
             st.tx_buf.(!n) <- buffer;
             st.tx_off.(!n) <- offset;
             incr n;
-            let a = Memory.fdata env.d_mem ~buffer_id:buffer in
+            let a = Memory.fdata env.mem ~buffer_id:buffer in
             if offset < 0 || offset >= Array.length a then
               oob buffer offset (Array.length a);
             Array.unsafe_set a offset v
@@ -1334,7 +855,7 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
         incr l;
         mm := !mm lsr 1
       done;
-      (match env.d_races with
+      (match env.races with
       | Some r ->
         for j = 0 to !n - 1 do
           Racecheck.record r ~block_id ~buffer:st.tx_buf.(j) ~offset:st.tx_off.(j)
@@ -1357,8 +878,8 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
         ~active ()
     | Decode.D_pstore { addr; value; bytes } ->
       (* Shared declarations hold only f64/i64 elements, but alloca
-         arenas may hold pointers; [shared_storep] raises the reference
-         engine's type confusion on a non-P slot. *)
+         arenas may hold pointers; [shared_storep] raises the usual type
+         confusion on a non-P slot. *)
       let n = ref 0 and ns = ref 0 in
       let mm = ref mask and l = ref 0 in
       while !mm <> 0 do
@@ -1385,7 +906,7 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
             st.sx_buf.(!ns) <- buffer;
             st.sx_off.(!ns) <- offset;
             incr ns;
-            (match env.d_races with
+            (match env.races with
             | Some r ->
               Racecheck.record_shared r ~block_id ~thread_id:((warp_id * ws) + !l)
                 ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:true
@@ -1397,14 +918,14 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
             st.tx_buf.(!n) <- buffer;
             st.tx_off.(!n) <- offset;
             incr n;
-            Memory.storep env.d_mem ~buffer_id:buffer ~offset ~pbuffer:vb
+            Memory.storep env.mem ~buffer_id:buffer ~offset ~pbuffer:vb
               ~poffset:vo
           end
         end;
         incr l;
         mm := !mm lsr 1
       done;
-      (match env.d_races with
+      (match env.races with
       | Some r ->
         for j = 0 to !n - 1 do
           Racecheck.record r ~block_id ~buffer:st.tx_buf.(j) ~offset:st.tx_off.(j)
@@ -1444,7 +965,7 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
             | Decode.I_imm x -> x
           in
           if buffer < -1 then begin
-            (match env.d_races with
+            (match env.races with
             | Some r ->
               Racecheck.record_shared r ~block_id ~thread_id:((warp_id * ws) + !l)
                 ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:true
@@ -1453,11 +974,11 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
               (Memory.shared_atomic_addi smem ~buffer_id:buffer ~offset v)
           end
           else begin
-            (match env.d_races with
+            (match env.races with
             | Some r -> Racecheck.record_atomic r ~block_id ~buffer ~offset
             | None -> ());
             Array.unsafe_set iregs (base + !l)
-              (Atomics.addi env.d_atomics ~block_id ~buffer ~offset v)
+              (Atomics.addi env.atomics ~block_id ~buffer ~offset v)
           end
         end;
         incr l;
@@ -1484,7 +1005,7 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
             | Decode.F_imm x -> x
           in
           if buffer < -1 then begin
-            (match env.d_races with
+            (match env.races with
             | Some r ->
               Racecheck.record_shared r ~block_id ~thread_id:((warp_id * ws) + !l)
                 ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:true
@@ -1493,11 +1014,11 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
               (Memory.shared_atomic_addf smem ~buffer_id:buffer ~offset v)
           end
           else begin
-            (match env.d_races with
+            (match env.races with
             | Some r -> Racecheck.record_atomic r ~block_id ~buffer ~offset
             | None -> ());
             Array.unsafe_set fregs (base + !l)
-              (Atomics.addf env.d_atomics ~block_id ~buffer ~offset v)
+              (Atomics.addf env.atomics ~block_id ~buffer ~offset v)
           end
         end;
         incr l;
@@ -1562,8 +1083,8 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
             (match op with
             | Instr.Thread_idx -> (warp_id * ws) + !l
             | Instr.Block_idx -> block_id
-            | Instr.Block_dim -> env.d_block_dim
-            | Instr.Grid_dim -> env.d_grid_dim);
+            | Instr.Block_dim -> env.block_dim
+            | Instr.Grid_dim -> env.grid_dim);
         incr l;
         mm := !mm lsr 1
       done;
@@ -1687,8 +1208,10 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
       done
     end
   in
-  (* A __syncthreads() under a partial mask, as in [make]: message and
-     lane count byte-identical to the reference engine's. *)
+  (* A __syncthreads() executed with a partial mask — some lanes of the
+     warp retired or sit on the other side of a divergent branch — is the
+     intra-warp form of the divergent-barrier error (the inter-warp form,
+     a whole warp missing the barrier, is the scheduler's to detect). *)
   let full_mask = Mask.bits (Mask.full ~width:lanes) in
   let exec_sync mask =
     if mask <> full_mask then
@@ -1737,11 +1260,11 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
       if !depth = 0 then status := Some Scheduler.Exited
       else begin
         let ti = !depth - 1 in
-        if m.Metrics.cycles > env.d_max_warp_cycles then
+        if m.Metrics.cycles > env.max_warp_cycles then
           failwith
             (Printf.sprintf
                "simulator: warp exceeded %d cycles in @%s (infinite loop?)"
-               env.d_max_warp_cycles p.Decode.fn_name);
+               env.max_warp_cycles p.Decode.fn_name);
         let mask = st.st_msk.(ti) land lnot !retired in
         let cur = st.st_blk.(ti) in
         let rpc = st.st_rpc.(ti) in
@@ -1759,7 +1282,7 @@ let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
               k
             end
             else begin
-              (match env.d_tracer with
+              (match env.tracer with
               | Some t ->
                 Trace.record t
                   {

@@ -79,7 +79,7 @@ type result = {
   from_cache : bool;
 }
 
-let execute_once ?timeout ?engine ?sim_jobs j jkey =
+let execute_once ?timeout ?sim_jobs j jkey =
   let compiled =
     match j.work with
     | Pipeline -> Runner.compile ?target:j.target ?timeout j.app j.config
@@ -87,10 +87,10 @@ let execute_once ?timeout ?engine ?sim_jobs j jkey =
   in
   let measurements =
     match j.protocol with
-    | Once -> [ Runner.simulate ?engine ?sim_jobs compiled ]
+    | Once -> [ Runner.simulate ?sim_jobs compiled ]
     | Noisy { runs } ->
       List.init runs (fun i ->
-          Runner.simulate ?engine ?sim_jobs ~noise_seed:(noise_seed ~key:jkey i)
+          Runner.simulate ?sim_jobs ~noise_seed:(noise_seed ~key:jkey i)
             compiled)
   in
   List.iter
@@ -103,9 +103,9 @@ let execute_once ?timeout ?engine ?sim_jobs j jkey =
     measurements;
   measurements
 
-let execute ?timeout ?engine ?sim_jobs ~retries j jkey =
+let execute ?timeout ?sim_jobs ~retries j jkey =
   let rec go attempt =
-    match execute_once ?timeout ?engine ?sim_jobs j jkey with
+    match execute_once ?timeout ?sim_jobs j jkey with
     | measurements -> Ok measurements
     | exception e ->
       if attempt <= retries then go (attempt + 1)
@@ -120,7 +120,7 @@ let execute ?timeout ?engine ?sim_jobs ~retries j jkey =
   in
   go 1
 
-let run_all ?jobs ?sim_jobs ?cache ?timeout ?engine ?(retries = 1) job_list =
+let run_all ?jobs ?sim_jobs ?cache ?timeout ?(retries = 1) job_list =
   let arr = Array.of_list job_list in
   let keys = Array.map (fun j -> key j) arr in
   (* Cache I/O stays on the calling domain: probe everything up front,
@@ -153,7 +153,7 @@ let run_all ?jobs ?sim_jobs ?cache ?timeout ?engine ?(retries = 1) job_list =
   in
   let executed =
     Parallel.map ?jobs
-      (fun i -> (i, execute ?timeout ?engine ~sim_jobs ~retries arr.(i) keys.(i)))
+      (fun i -> (i, execute ?timeout ~sim_jobs ~retries arr.(i) keys.(i)))
       todo
   in
   let outcomes = Array.make (Array.length arr) None in

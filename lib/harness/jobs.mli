@@ -103,7 +103,6 @@ val run_all :
   ?sim_jobs:int ->
   ?cache:Result_cache.t ->
   ?timeout:float ->
-  ?engine:Uu_gpusim.Kernel.engine ->
   ?retries:int ->
   job list ->
   result list
@@ -116,9 +115,7 @@ val run_all :
     there are cores splits the remainder evenly — the two levels compose
     instead of oversubscribing. Neither [jobs] nor [sim_jobs] can change
     any measurement byte. [timeout] is a per-attempt compilation budget
-    in seconds; [engine] selects the simulator execution engine (default
-    [Kernel.Decoded]) — engines are metric-identical, so it does not
-    enter the cache key; [retries] (default 1) is how many times a
+    in seconds; [retries] (default 1) is how many times a
     failed job is re-attempted before a {!failure} is recorded. Cache
     lookups and stores happen on the calling domain only. Results are in
     input order. *)

@@ -144,36 +144,15 @@ let shard_of key = if String.length key >= 2 then String.sub key 0 2 else key
 let path_of t ~key =
   Filename.concat (Filename.concat t.cache_dir (shard_of key)) (key ^ ".json")
 
-(* Pre-shard caches stored entries flat as [<dir>/<key>.json]; those are
-   migrated into their shard on first lookup (a rename, so the bytes a
-   warm rerun reads are exactly the bytes the cold run wrote). *)
-let legacy_path_of t ~key = Filename.concat t.cache_dir (key ^ ".json")
-
-(* The path holding this key's entry, after read-through migration:
-   prefer the sharded path; a legacy flat entry is renamed into its
-   shard. Another process racing the same migration is benign — rename
-   failure falls back to whichever path survived. *)
-let locate t ~key =
-  let sharded = path_of t ~key in
-  if Sys.file_exists sharded then Some sharded
-  else
-    let legacy = legacy_path_of t ~key in
-    if not (Sys.file_exists legacy) then None
-    else begin
-      (try
-         Report.mkdirs (Filename.dirname sharded);
-         Sys.rename legacy sharded
-       with Sys_error _ | Unix.Unix_error _ -> ());
-      if Sys.file_exists sharded then Some sharded
-      else if Sys.file_exists legacy then Some legacy
-      else None
-    end
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+let locate t ~key =
+  let path = path_of t ~key in
+  if Sys.file_exists path then Some path else None
 
 let lookup t ~key =
   match locate t ~key with

@@ -4,11 +4,7 @@
     [results/cache/]), where [key] is the job's content hash (see
     [Uu_harness.Jobs.key]) and [ab] its first two hex digits — a 256-way
     directory fan-out, so the store stays a small-directory workload at
-    millions of entries. Entries written by pre-shard versions as flat
-    [<dir>/<key>.json] files are migrated into their shard transparently
-    on first lookup (a rename — the bytes are untouched, so warm reruns
-    remain byte-identical across the migration). Each file holds the
-    job's serialized
+    millions of entries. Each file holds the job's serialized
     [Runner.measurement] list — every field, including metrics, remarks,
     and statistic deltas — so a warm re-run reproduces the cold run's
     results byte for byte without compiling or simulating anything.

@@ -125,7 +125,7 @@ let make_compiled ?target ?(compile_seconds = 0.0) ?(remarks = []) ?(stats = [])
 let compiled_remarks c = c.c_remarks
 let compiled_stats c = c.c_stats
 
-let simulate ?noise_seed ?(engine = Kernel.Decoded) ?sim_jobs (c : compiled) =
+let simulate ?noise_seed ?sim_jobs (c : compiled) =
   let app = c.c_app and m = c.modul in
   let instance = app.App.setup (Rng.create workload_seed) in
   let noise = Option.map Rng.create noise_seed in
@@ -145,7 +145,6 @@ let simulate ?noise_seed ?(engine = Kernel.Decoded) ?sim_jobs (c : compiled) =
     {
       Kernel.default_config with
       noise;
-      engine;
       sim_jobs = Option.value sim_jobs ~default:1;
       decode_cache = Some c.c_decode;
     }
@@ -186,7 +185,7 @@ let simulate ?noise_seed ?(engine = Kernel.Decoded) ?sim_jobs (c : compiled) =
    parallel block shard may not change final memory. Sharded launches
    collect per shard and merge in block order, so the report bytes are
    the same at any sim_jobs width. *)
-let race_audit ?(engine = Kernel.Decoded) (c : compiled) =
+let race_audit (c : compiled) =
   let app = c.c_app and m = c.modul in
   let instance = app.App.setup (Rng.create workload_seed) in
   List.map
@@ -204,7 +203,6 @@ let race_audit ?(engine = Kernel.Decoded) (c : compiled) =
              {
                Kernel.default_config with
                races = Some races;
-               engine;
                decode_cache = Some c.c_decode;
              }
            instance.App.mem f ~grid_dim:l.App.grid_dim ~block_dim:l.App.block_dim
@@ -212,11 +210,11 @@ let race_audit ?(engine = Kernel.Decoded) (c : compiled) =
       (l.App.kernel, races))
     instance.App.launches
 
-let run ?noise_seed ?engine ?sim_jobs ?target (app : App.t) config =
-  simulate ?noise_seed ?engine ?sim_jobs (compile ?target app config)
+let run ?noise_seed ?sim_jobs ?target (app : App.t) config =
+  simulate ?noise_seed ?sim_jobs (compile ?target app config)
 
-let run_exn ?noise_seed ?engine ?sim_jobs ?target app config =
-  let m = run ?noise_seed ?engine ?sim_jobs ?target app config in
+let run_exn ?noise_seed ?sim_jobs ?target app config =
+  let m = run ?noise_seed ?sim_jobs ?target app config in
   (match m.check with
   | Ok () -> ()
   | Error msg ->
@@ -317,6 +315,24 @@ let synthetic_args ~elems rng mem (f : Func.t) =
         failwith ("unsupported parameter type for " ^ p.pname))
     f.Func.params
 
+(* The launch-shape budget of a run request: CUDA's per-dimension grid
+   limit and per-block thread limit, and at most 1 Mi elements per
+   synthetic buffer. Checked before anything is allocated, so an
+   oversized shape is the same [Error] on every machine instead of an
+   exhausted heap. *)
+let check_shape (r : Uu_serve.Request.t) =
+  let within name v ~lo ~hi =
+    if v < lo || v > hi then
+      Some (Printf.sprintf "launch shape: %s %d is outside [%d, %d]" name v lo hi)
+    else None
+  in
+  List.find_map Fun.id
+    [
+      within "grid" r.grid_dim ~lo:1 ~hi:65535;
+      within "block" r.block_dim ~lo:1 ~hi:1024;
+      within "elems" r.elems ~lo:0 ~hi:(1 lsl 20);
+    ]
+
 let respond ?(default_sim_jobs = 1) (r : Uu_serve.Request.t)
     (c : request_compiled) : Uu_serve.Response.t =
   let compile_seconds = float_of_int c.rq_work /. compile_work_per_second in
@@ -355,7 +371,6 @@ let respond ?(default_sim_jobs = 1) (r : Uu_serve.Request.t)
           let config =
             {
               Kernel.default_config with
-              engine = r.engine;
               races;
               tracer;
               sim_jobs;
@@ -377,9 +392,12 @@ let respond ?(default_sim_jobs = 1) (r : Uu_serve.Request.t)
           })
         c.rq_modul.Func.funcs
     in
-    match body () with
-    | ms -> finish (Uu_serve.Response.Measured ms)
-    | exception Failure msg -> Error msg)
+    match check_shape r with
+    | Some msg -> Error msg
+    | None -> (
+      match body () with
+      | ms -> finish (Uu_serve.Response.Measured ms)
+      | exception Failure msg -> Error msg))
 
 let run_request ?default_sim_jobs r =
   match compile_request r with

@@ -71,20 +71,18 @@ val compiled_stats : compiled -> (string * int) list
 
 val simulate :
   ?noise_seed:int64 ->
-  ?engine:Uu_gpusim.Kernel.engine ->
   ?sim_jobs:int ->
   compiled ->
   measurement
 (** Simulate a previously compiled application; used by Table I's 20-run
-    protocol to avoid recompiling per run. [engine] defaults to
-    [Kernel.Decoded]; each {!compiled} carries its own decode cache, so
+    protocol to avoid recompiling per run. Each {!compiled} carries its
+    own decode cache, so
     repeated simulations decode every kernel exactly once. [sim_jobs]
     (default 1) shards each launch's blocks over that many domains —
     measurements are byte-identical for any value (see
     [Kernel.exec]). *)
 
 val race_audit :
-  ?engine:Uu_gpusim.Kernel.engine ->
   compiled ->
   (string * Uu_gpusim.Racecheck.t) list
 (** Replay the app's launch schedule with a write-set collector attached
@@ -95,7 +93,6 @@ val race_audit :
 
 val run :
   ?noise_seed:int64 ->
-  ?engine:Uu_gpusim.Kernel.engine ->
   ?sim_jobs:int ->
   ?target:loop_ref ->
   Uu_benchmarks.App.t ->
@@ -108,7 +105,6 @@ val run :
 
 val run_exn :
   ?noise_seed:int64 ->
-  ?engine:Uu_gpusim.Kernel.engine ->
   ?sim_jobs:int ->
   ?target:loop_ref ->
   Uu_benchmarks.App.t ->
@@ -139,6 +135,17 @@ val compile_request :
     optimize under the request's config and target loop. All frontend
     and pipeline failures come back as [Error] text, never exceptions. *)
 
+val synthetic_args :
+  elems:int ->
+  Uu_support.Rng.t ->
+  Uu_gpusim.Memory.t ->
+  Uu_ir.Func.t ->
+  Uu_gpusim.Kernel.arg list
+(** The synthetic-buffer arguments {!respond} launches a [Run] request's
+    kernels with: [elems]-element buffers (f64 filled with uniform
+    draws from the shared [rng], seeded 7 per request; i64 zeroed), f64
+    scalars 1.0, int scalars [elems]. *)
+
 val respond :
   ?default_sim_jobs:int ->
   Uu_serve.Request.t ->
@@ -146,8 +153,12 @@ val respond :
   Uu_serve.Response.t
 (** Answer one request from its compiled module: print IR for [Compile]
     mode, simulate every kernel with the synthetic-buffer protocol for
-    [Run] mode. [default_sim_jobs] (default 1) applies only when the
-    request leaves [sim_jobs] unset; it cannot change a response byte. *)
+    [Run] mode. A [Run] request's launch shape must satisfy
+    [1 <= grid_dim <= 65535], [1 <= block_dim <= 1024] (CUDA's per-block
+    limit), and [0 <= elems <= 2{^20}]; any other shape is an [Error]
+    before anything is allocated. [default_sim_jobs] (default 1) applies
+    only when the request leaves [sim_jobs] unset; it cannot change a
+    response byte. *)
 
 val run_request :
   ?default_sim_jobs:int -> Uu_serve.Request.t -> Uu_serve.Response.t

@@ -42,7 +42,7 @@ let point_of ~app ~loop ~baseline (m : Runner.measurement) =
    list is identical whether the jobs ran serially, on N domains, or out
    of the cache. *)
 let run ?(apps = Uu_benchmarks.Registry.all) ?jobs ?sim_jobs ?cache ?timeout
-    ?engine () =
+    () =
   let inventories = Uu_support.Parallel.map ?jobs Runner.loop_inventory apps in
   let per_app =
     List.map2
@@ -58,7 +58,7 @@ let run ?(apps = Uu_benchmarks.Registry.all) ?jobs ?sim_jobs ?cache ?timeout
       apps inventories
   in
   let results =
-    Jobs.run_all ?jobs ?sim_jobs ?cache ?timeout ?engine
+    Jobs.run_all ?jobs ?sim_jobs ?cache ?timeout
       (List.concat_map snd per_app)
   in
   (* Consume results in emission order, app by app. *)

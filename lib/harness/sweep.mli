@@ -35,7 +35,6 @@ val run :
   ?sim_jobs:int ->
   ?cache:Result_cache.t ->
   ?timeout:float ->
-  ?engine:Uu_gpusim.Kernel.engine ->
   unit ->
   t
 (** Runs the full sweep (oracle-checked). [jobs] sizes the domain pool

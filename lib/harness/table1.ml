@@ -18,7 +18,7 @@ type row = {
    once and re-simulate with per-job-key noise seeds (SIV-B). All apps'
    jobs go to the pool as one batch. *)
 let compute ?(runs = 20) ?(apps = Uu_benchmarks.Registry.all) ?jobs ?sim_jobs
-    ?cache ?engine () =
+    ?cache () =
   let per_app =
     List.map
       (fun (app : Uu_benchmarks.App.t) ->
@@ -29,7 +29,7 @@ let compute ?(runs = 20) ?(apps = Uu_benchmarks.Registry.all) ?jobs ?sim_jobs
         ])
       apps
   in
-  let results = Jobs.run_all ?jobs ?sim_jobs ?cache ?engine (List.concat per_app) in
+  let results = Jobs.run_all ?jobs ?sim_jobs ?cache (List.concat per_app) in
   let loop_counts =
     Parallel.map ?jobs (fun app -> List.length (Runner.loop_inventory app)) apps
   in

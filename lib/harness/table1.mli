@@ -21,7 +21,6 @@ val compute :
   ?jobs:int ->
   ?sim_jobs:int ->
   ?cache:Result_cache.t ->
-  ?engine:Uu_gpusim.Kernel.engine ->
   unit ->
   row list
 (** Default 20 runs per configuration, executed as [Jobs] on the domain

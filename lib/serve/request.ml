@@ -15,13 +15,11 @@ type t = {
   check_races : bool;
   trace : bool;
   noise_seed : int64 option;
-  engine : Uu_gpusim.Kernel.engine;
   sim_jobs : int option;
 }
 
 let make ?(mode = Run) ?loop ?(grid_dim = 4) ?(block_dim = 128) ?(elems = 1024)
-    ?(check_races = false) ?(trace = false) ?noise_seed
-    ?(engine = Uu_gpusim.Kernel.Decoded) ?sim_jobs source config =
+    ?(check_races = false) ?(trace = false) ?noise_seed ?sim_jobs source config =
   {
     mode;
     source;
@@ -33,7 +31,6 @@ let make ?(mode = Run) ?loop ?(grid_dim = 4) ?(block_dim = 128) ?(elems = 1024)
     check_races;
     trace;
     noise_seed;
-    engine;
     sim_jobs;
   }
 
@@ -52,9 +49,9 @@ let mode_string = function Compile -> "compile" | Run -> "run"
 let loop_string = function None -> "-" | Some id -> string_of_int id
 
 (* Everything a response depends on enters the spec; what cannot change
-   a response byte (engine, sim_jobs — both metric-identical by the
-   determinism contract) stays out, so a request answered under one
-   engine is a cache hit for the other. Both versions are folded in for
+   a response byte (sim_jobs — metric-identical by the determinism
+   contract) stays out, so a request answered at one shard width is a
+   cache hit at any other. Both versions are folded in for
    the same reason they are in [Uu_harness.Jobs.spec]: a compiler change
    and a simulator-semantics change each invalidate old entries. *)
 let spec r =
@@ -94,10 +91,6 @@ let noise_seed ~key i =
 
 (* --- JSON codec ----------------------------------------------------- *)
 
-let engine_string = function
-  | Uu_gpusim.Kernel.Decoded -> "decoded"
-  | Uu_gpusim.Kernel.Reference -> "reference"
-
 let to_json r =
   let source =
     match r.source with
@@ -120,7 +113,6 @@ let to_json r =
         match r.noise_seed with
         | None -> Json.Null
         | Some s -> Json.Str (Int64.to_string s) );
-      ("engine", Json.Str (engine_string r.engine));
       ( "sim_jobs",
         match r.sim_jobs with None -> Json.Null | Some n -> Json.Int n );
     ]
@@ -187,13 +179,6 @@ let of_json j =
       | Some v -> Ok (Some v)
       | None -> Error (Printf.sprintf "request: bad noise_seed %S" s))
   in
-  let* engine =
-    let* s = field "engine" Json.to_str j in
-    match s with
-    | "decoded" -> Ok Uu_gpusim.Kernel.Decoded
-    | "reference" -> Ok Uu_gpusim.Kernel.Reference
-    | other -> Error (Printf.sprintf "request: unknown engine %S" other)
-  in
   let* sim_jobs = opt_field "sim_jobs" Json.to_int j in
   Ok
     {
@@ -207,6 +192,5 @@ let of_json j =
       check_races;
       trace;
       noise_seed;
-      engine;
       sim_jobs;
     }

@@ -14,9 +14,9 @@
     {!key}
     is its content hash, under which the daemon caches serialized
     responses in [Uu_harness.Result_cache] (raw-entry namespace).
-    [engine] and [sim_jobs] are deliberately absent from the spec: both
-    are metric-identical by the simulator's determinism contract, so
-    they can never change a response byte. *)
+    [sim_jobs] is deliberately absent from the spec: it is
+    metric-identical by the simulator's determinism contract, so it can
+    never change a response byte. *)
 
 open Uu_core
 
@@ -42,7 +42,6 @@ type t = {
       (** record and return the SIMT schedule of every launch *)
   noise_seed : int64 option;
       (** enable the memory-jitter model with this seed *)
-  engine : Uu_gpusim.Kernel.engine;  (** not part of the request identity *)
   sim_jobs : int option;  (** not part of the request identity *)
 }
 
@@ -55,14 +54,12 @@ val make :
   ?check_races:bool ->
   ?trace:bool ->
   ?noise_seed:int64 ->
-  ?engine:Uu_gpusim.Kernel.engine ->
   ?sim_jobs:int ->
   source ->
   Pipelines.config ->
   t
 (** Defaults mirror [uu run]: mode [Run], grid 4, block 128, elems 1024,
-    no race check, no trace, no noise, [Decoded] engine, server-chosen
-    [sim_jobs]. *)
+    no race check, no trace, no noise, server-chosen [sim_jobs]. *)
 
 val source_name : source -> string
 
@@ -90,4 +87,6 @@ val to_json : t -> Uu_support.Json.t
 
 val of_json : Uu_support.Json.t -> (t, string) result
 (** Total inverse of {!to_json}: every malformed shape is an [Error],
-    never an exception — the daemon feeds it untrusted bytes. *)
+    never an exception — the daemon feeds it untrusted bytes. Unknown
+    members (such as the [engine] member older clients send) are
+    ignored. *)

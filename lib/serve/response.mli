@@ -3,7 +3,7 @@
 
     A response is deliberately deterministic: every field is a pure
     function of the request identity ({!Request.spec}), never of
-    wall-clock time, engine choice, or domain count. That is what lets
+    wall-clock time, shard width, or domain count. That is what lets
     the daemon cache serialized responses byte-for-byte and serve
     identical bytes to identical requests at any concurrency.
     [compile_seconds] is the {e modeled} compile time (pass work units

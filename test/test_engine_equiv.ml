@@ -1,24 +1,26 @@
-(* Engine equivalence: the decoded execution engine must be
-   cycle-for-cycle metric-identical to the reference interpreter, and
-   must leave simulated memory in an identical state, for every registry
-   application under Baseline, Uu 4, and Uu_heuristic. The reference
-   engine is the oracle; any divergence here is a decoded-engine bug. *)
+(* Engine equivalence: the simulator ([Kernel.exec]) must be
+   cycle-for-cycle metric-identical to the reference interpreter
+   ([Oracle.exec]), and must leave simulated memory in an identical
+   state, for every registry application under Baseline, Uu 4, and
+   Uu_heuristic. The reference is the oracle; any divergence here is a
+   simulator bug. *)
 
 open Uu_support
 open Uu_ir
 open Uu_core
 open Uu_benchmarks
 open Uu_gpusim
+open Uu_sim_oracle
 
 let check = Alcotest.check
 let bool = Alcotest.bool
 
 let configs = [ Pipelines.Baseline; Pipelines.Uu 4; Pipelines.Uu_heuristic ]
 
-(* Compile + simulate one app under one engine, mirroring the harness
+(* Compile + simulate one app on one engine, mirroring the harness
    protocol ([Runner.simulate]): fresh workload from the fixed seed, all
    launches in schedule order, one decode cache per compiled module. *)
-let run_engine engine (app : App.t) config =
+let run_engine (exec : Oracle.exec) (app : App.t) config =
   let m = Uu_frontend.Lower.compile ~name:app.App.name app.App.source in
   List.iter
     (fun f -> ignore (Pipelines.optimize ~targets:Pipelines.All_loops config f))
@@ -34,7 +36,7 @@ let run_engine engine (app : App.t) config =
         | None -> Alcotest.failf "%s: unknown kernel %s" app.App.name l.App.kernel
       in
       let r =
-        Kernel.exec ~config:(Kernel.config ~engine ~decode_cache:cache ()) instance.App.mem f
+        exec ~config:(Kernel.config ~decode_cache:cache ()) instance.App.mem f
           ~grid_dim:l.App.grid_dim ~block_dim:l.App.block_dim ~args:l.App.args
       in
       Metrics.add total r.Kernel.metrics)
@@ -54,8 +56,8 @@ let test_app (app : App.t) () =
   List.iter
     (fun config ->
       let name = Printf.sprintf "%s/%s" app.App.name (Pipelines.config_to_string config) in
-      let mr, memr, checkr = run_engine Kernel.Reference app config in
-      let md, memd, checkd = run_engine Kernel.Decoded app config in
+      let mr, memr, checkr = run_engine Oracle.exec app config in
+      let md, memd, checkd = run_engine Kernel.exec app config in
       if mr <> md then
         Alcotest.failf "%s: metrics diverge@.ref: %s@.dec: %s" name
           (Format.asprintf "%a" Metrics.pp mr)

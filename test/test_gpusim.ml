@@ -4,6 +4,7 @@
 
 open Uu_ir
 open Uu_gpusim
+open Uu_sim_oracle
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -348,13 +349,13 @@ let test_kernel_time_concurrency () =
 
 (* Promote locals first: alloca arenas live in the shared bank too, and
    these tests pin exact counters for the declared arrays alone. *)
-let run_shared ?(engine = Kernel.Decoded) ?(grid = 2) src =
+let run_shared ?(exec : Oracle.exec = Kernel.exec) ?(grid = 2) src =
   let fn = Ir_helpers.compile_one src in
   ignore (Uu_opt.Pass.exec [ Uu_opt.Mem2reg.pass ] fn);
   let mem = Memory.create () in
   let out = Memory.zeros_f64 mem (grid * 32) in
   let r =
-    Kernel.exec ~config:(Kernel.config ~engine ()) mem fn ~grid_dim:grid ~block_dim:32
+    exec mem fn ~grid_dim:grid ~block_dim:32
       ~args:[ Kernel.Buf out; Kernel.Int_arg (Int64.of_int (grid * 32)) ]
   in
   (r.Kernel.metrics, Memory.read_f64 out)
@@ -374,15 +375,15 @@ let test_shared_reset_per_block () =
       }|}
   in
   List.iter
-    (fun engine ->
-      let m, out = run_shared ~engine ~grid:4 src in
+    (fun (_, exec) ->
+      let m, out = run_shared ~exec ~grid:4 src in
       check bool "every block read the reset bank" true
         (Array.for_all (fun v -> v = 1.0) out);
       (* Two shared reads per lane (the increment and the copy-out), one
          shared write. *)
       check int "shared loads counted" (2 * 4 * 32 * 8) m.Metrics.sld_bytes;
       check int "shared stores counted" (4 * 32 * 8) m.Metrics.sst_bytes)
-    [ Kernel.Reference; Kernel.Decoded ]
+    Oracle.engines
 
 (* The bank model: 32 banks of 8 bytes. Unit-stride f64 access touches
    every bank once (1 replay, no conflict); stride-2 folds lanes l and
@@ -408,26 +409,26 @@ let broadcast =
 
 let test_shared_bank_conflicts () =
   List.iter
-    (fun engine ->
-      let m, _ = run_shared ~engine ~grid:1 stride2 in
+    (fun (_, exec) ->
+      let m, _ = run_shared ~exec ~grid:1 stride2 in
       (* One store + one load, each 2-way conflicted. *)
       check int "stride-2 replays" 4 m.Metrics.shared_transactions;
       check int "stride-2 conflicts" 2 m.Metrics.shared_bank_conflicts;
-      let m, out = run_shared ~engine ~grid:1 broadcast in
+      let m, out = run_shared ~exec ~grid:1 broadcast in
       check int "broadcast is one transaction each way" 2
         m.Metrics.shared_transactions;
       check int "broadcast never conflicts" 0 m.Metrics.shared_bank_conflicts;
       check bool "broadcast value delivered" true
         (Array.for_all (fun v -> v = 3.0) out))
-    [ Kernel.Reference; Kernel.Decoded ]
+    Oracle.engines
 
 (* Both engines must agree on the shared-memory counters exactly, like
    every other metric. *)
 let test_shared_engines_agree () =
   List.iter
     (fun src ->
-      let mr, outr = run_shared ~engine:Kernel.Reference src in
-      let md, outd = run_shared ~engine:Kernel.Decoded src in
+      let mr, outr = run_shared ~exec:Oracle.exec src in
+      let md, outd = run_shared ~exec:Kernel.exec src in
       check bool "metrics byte-identical" true (mr = md);
       check bool "memory byte-identical" true (outr = outd))
     [ stride2; broadcast ]
@@ -441,24 +442,23 @@ let test_shared_out_of_bounds () =
       }|}
   in
   List.iter
-    (fun engine ->
+    (fun (_, exec) ->
       check bool "shared overrun fails" true
         (try
-           ignore (run_shared ~engine src);
+           ignore (run_shared ~exec src);
            false
          with Failure msg ->
            Astring.String.is_infix ~affix:"out of bounds" msg))
-    [ Kernel.Reference; Kernel.Decoded ]
+    Oracle.engines
 
 (* --- the barrier scheduler (multi-warp blocks) ---------------------- *)
 
-let run_block ?(engine = Kernel.Decoded) ?(grid = 2) ~block src =
+let run_block ?(exec : Oracle.exec = Kernel.exec) ?(grid = 2) ~block src =
   let fn = Ir_helpers.compile_one src in
   let mem = Memory.create () in
   let out = Memory.zeros_f64 mem (grid * block) in
   let r =
-    Kernel.exec ~config:(Kernel.config ~engine ()) mem fn ~grid_dim:grid
-      ~block_dim:block
+    exec mem fn ~grid_dim:grid ~block_dim:block
       ~args:[ Kernel.Buf out; Kernel.Int_arg (Int64.of_int (grid * block)) ]
   in
   (r.Kernel.metrics, Memory.read_f64 out)
@@ -484,8 +484,8 @@ let cross_warp_swap =
 let test_cross_warp_dataflow () =
   let runs =
     List.map
-      (fun engine -> run_block ~engine ~block:64 cross_warp_swap)
-      [ Kernel.Reference; Kernel.Decoded ]
+      (fun (_, exec) -> run_block ~exec ~block:64 cross_warp_swap)
+      Oracle.engines
   in
   List.iter
     (fun ((_ : Metrics.t), out) ->
@@ -524,8 +524,8 @@ let lopsided =
 
 let test_barrier_wait_accounted () =
   List.iter
-    (fun engine ->
-      let m64, out = run_block ~engine ~grid:1 ~block:64 lopsided in
+    (fun (_, exec) ->
+      let m64, out = run_block ~exec ~grid:1 ~block:64 lopsided in
       Array.iteri
         (fun i v ->
           (* Reverse-indexed copy-out: the slow warp's 64.0 partials land
@@ -535,10 +535,10 @@ let test_barrier_wait_accounted () =
         out;
       check bool "the fast warp waited at the barrier" true
         (m64.Metrics.barrier_wait_cycles > 0);
-      let m32, _ = run_block ~engine ~grid:1 ~block:32 lopsided in
+      let m32, _ = run_block ~exec ~grid:1 ~block:32 lopsided in
       check int "a single-warp block never waits" 0
         m32.Metrics.barrier_wait_cycles)
-    [ Kernel.Reference; Kernel.Decoded ]
+    Oracle.engines
 
 (* __syncthreads() must be barrier-uniform at both granularities: a
    partially-active warp trips the executor, and a warp that exits while
@@ -547,15 +547,15 @@ let test_barrier_wait_accounted () =
 let test_divergent_barrier_traps () =
   let expect_trap ~block ~affix src =
     List.iter
-      (fun engine ->
+      (fun (_, exec) ->
         check bool (Printf.sprintf "trap mentions %S" affix) true
           (try
-             ignore (run_block ~engine ~grid:1 ~block src);
+             ignore (run_block ~exec ~grid:1 ~block src);
              false
            with Failure msg ->
              Astring.String.is_infix ~affix:"divergent __syncthreads()" msg
              && Astring.String.is_infix ~affix msg))
-      [ Kernel.Reference; Kernel.Decoded ]
+      Oracle.engines
   in
   expect_trap ~block:32 ~affix:"16 of 32 lanes"
     {|kernel k(float* restrict out, int n) {

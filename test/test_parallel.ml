@@ -147,42 +147,6 @@ let test_cache_round_trip () =
   close_out oc;
   check bool "corrupt entry ignored" true (Result_cache.lookup cache ~key = None)
 
-(* Entries written by pre-shard versions sit flat at [<dir>/<key>.json];
-   the first lookup must migrate them into their shard and serve the
-   same bytes. *)
-let test_cache_legacy_migration () =
-  let dir = fresh_cache_dir () in
-  let cache = Result_cache.create ~dir in
-  let j = Jobs.job ~protocol:(Jobs.Noisy { runs = 2 }) bezier (Pipelines.Uu 2) in
-  let cold = Jobs.run_all ~cache [ j ] in
-  let key = Jobs.key j in
-  let sharded =
-    Filename.concat
-      (Filename.concat dir (String.sub key 0 2))
-      (key ^ ".json")
-  in
-  let legacy = Filename.concat dir (key ^ ".json") in
-  (* Reconstruct the pre-shard layout: move the entry to the flat path. *)
-  let bytes = In_channel.with_open_bin sharded In_channel.input_all in
-  Sys.rename sharded legacy;
-  let warm = Result_cache.create ~dir in
-  (match Result_cache.lookup warm ~key with
-  | Some ms ->
-    check Alcotest.string "migrated bytes identical"
-      bytes
-      (Result_cache.encode ~spec:(Jobs.spec j) ms);
-    check bool "cold bytes identical" true
-      (match cold with
-      | [ c ] ->
-        bytes = Result_cache.encode ~spec:(Jobs.spec j) (Jobs.measurements_exn c)
-      | _ -> false)
-  | None -> Alcotest.fail "legacy entry not found");
-  check bool "entry migrated into shard" true (Sys.file_exists sharded);
-  check bool "flat entry gone" false (Sys.file_exists legacy);
-  (* And raw lookups see the same migrated entry. *)
-  check bool "raw lookup reads migrated entry" true
-    (Result_cache.lookup_raw warm ~key = Some bytes)
-
 let test_sweep_parallel_equals_serial () =
   let serial = Sweep.run ~apps:[ bezier ] ~jobs:1 () in
   let parallel = Sweep.run ~apps:[ bezier ] ~jobs:4 () in
@@ -234,7 +198,6 @@ let suite =
     ("job keys", `Quick, test_job_keys);
     ("failure record with retry", `Quick, test_failure_record);
     ("cache round-trip", `Quick, test_cache_round_trip);
-    ("cache legacy-entry migration", `Quick, test_cache_legacy_migration);
     ("parallel sweep = serial sweep", `Slow, test_sweep_parallel_equals_serial);
     ("config round-trip", `Quick, test_config_round_trip);
     ("points_for parsed config", `Slow, test_points_for_parsed_config);

@@ -10,6 +10,7 @@ open Uu_core
 open Uu_benchmarks
 open Uu_gpusim
 open Uu_harness
+open Uu_sim_oracle
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -71,7 +72,7 @@ let configs = [ Pipelines.Baseline; Pipelines.Uu 4; Pipelines.Uu_heuristic ]
 (* Compile + simulate one app at one shard width, mirroring the harness
    protocol (fresh workload from the fixed seed, launches in schedule
    order, one decode cache per module). *)
-let run_sharded ~sim_jobs engine (app : App.t) config =
+let run_sharded ~sim_jobs (exec : Oracle.exec) (app : App.t) config =
   let m = Uu_frontend.Lower.compile ~name:app.App.name app.App.source in
   List.iter
     (fun f -> ignore (Pipelines.optimize ~targets:Pipelines.All_loops config f))
@@ -87,7 +88,7 @@ let run_sharded ~sim_jobs engine (app : App.t) config =
         | None -> Alcotest.failf "%s: unknown kernel %s" app.App.name l.App.kernel
       in
       let r =
-        Kernel.exec ~config:(Kernel.config ~engine ~decode_cache:cache ~sim_jobs ()) instance.App.mem f
+        exec ~config:(Kernel.config ~decode_cache:cache ~sim_jobs ()) instance.App.mem f
           ~grid_dim:l.App.grid_dim ~block_dim:l.App.block_dim ~args:l.App.args
       in
       Metrics.add total r.Kernel.metrics)
@@ -105,21 +106,18 @@ let same_memory a b =
 
 let test_app_deterministic (app : App.t) () =
   List.iter
-    (fun engine ->
+    (fun (engine, exec) ->
       List.iter
         (fun config ->
           let name =
-            Printf.sprintf "%s/%s/%s" app.App.name
-              (match engine with
-              | Kernel.Reference -> "reference"
-              | Kernel.Decoded -> "decoded")
+            Printf.sprintf "%s/%s/%s" app.App.name engine
               (Pipelines.config_to_string config)
           in
-          let ms, mems, checks = run_sharded ~sim_jobs:1 engine app config in
+          let ms, mems, checks = run_sharded ~sim_jobs:1 exec app config in
           check bool (name ^ " oracle passes serially") true (checks = Ok ());
           List.iter
             (fun jobs ->
-              let mp, memp, checkp = run_sharded ~sim_jobs:jobs engine app config in
+              let mp, memp, checkp = run_sharded ~sim_jobs:jobs exec app config in
               if ms <> mp then
                 Alcotest.failf
                   "%s: metrics diverge at sim_jobs %d@.serial: %s@.sharded: %s"
@@ -134,7 +132,7 @@ let test_app_deterministic (app : App.t) () =
                 true (checkp = Ok ()))
             [ 2; wide ])
         configs)
-    [ Kernel.Reference; Kernel.Decoded ]
+    Oracle.engines
 
 (* The noise model must shard identically too: per-block jitter streams
    are a pure function of (launch, block), not of which domain runs the
@@ -156,7 +154,7 @@ let test_noisy_deterministic () =
 
 (* Promote locals first: alloca arenas are shared-bank traffic too, and
    these tests pin the recorder's view of the declared arrays alone. *)
-let launch_with_races ?(engine = Kernel.Decoded) ?(grid = 4) ?(block = 32)
+let launch_with_races ?(exec : Oracle.exec = Kernel.exec) ?(grid = 4) ?(block = 32)
     ?(sim_jobs = 8) src =
   let fn = Ir_helpers.compile_one src in
   ignore (Uu_opt.Pass.exec [ Uu_opt.Mem2reg.pass ] fn);
@@ -164,7 +162,7 @@ let launch_with_races ?(engine = Kernel.Decoded) ?(grid = 4) ?(block = 32)
   let out = Memory.zeros_f64 mem 512 in
   let races = Racecheck.create () in
   let r =
-    Kernel.exec ~config:(Kernel.config ~engine ~races ~sim_jobs ()) mem fn ~grid_dim:grid ~block_dim:block
+    exec ~config:(Kernel.config ~races ~sim_jobs ()) mem fn ~grid_dim:grid ~block_dim:block
       ~args:[ Kernel.Buf out; Kernel.Int_arg 128L ]
   in
   (r, races)
@@ -179,18 +177,18 @@ let disjoint =
 
 let test_racecheck () =
   List.iter
-    (fun engine ->
-      let _, races = launch_with_races ~engine racy in
+    (fun (_, exec) ->
+      let _, races = launch_with_races ~exec racy in
       (match Racecheck.overlaps races with
       | [ o ] ->
         check int "overlap on offset 0" 0 o.Racecheck.offset;
         check int "all four blocks write it" 4 (List.length o.Racecheck.blocks)
       | os -> Alcotest.failf "expected one overlapping cell, got %d" (List.length os));
-      let _, clean = launch_with_races ~engine disjoint in
+      let _, clean = launch_with_races ~exec disjoint in
       check bool "disjoint kernel has writes" true (Racecheck.writes clean > 0);
       check (Alcotest.list bool) "disjoint kernel has no overlaps" []
         (List.map (fun _ -> true) (Racecheck.overlaps clean)))
-    [ Kernel.Reference; Kernel.Decoded ];
+    Oracle.engines;
   (* The report names the overlap; a clean collector says so. *)
   let _, races = launch_with_races racy in
   check bool "report mentions the cell" true
@@ -249,8 +247,8 @@ let shared_clean =
 
 let test_shared_racecheck () =
   List.iter
-    (fun engine ->
-      let _, races = launch_with_races ~engine shared_racy_writes in
+    (fun (_, exec) ->
+      let _, races = launch_with_races ~exec shared_racy_writes in
       (match Racecheck.shared_races races with
       | [] -> Alcotest.fail "32 same-epoch writers reported as race-free"
       | rs ->
@@ -259,19 +257,19 @@ let test_shared_racecheck () =
         check int "cell is offset 0" 0 r.Racecheck.s_offset;
         check int "epoch 0 (before the barrier)" 0 r.Racecheck.s_epoch;
         check int "all 32 writers named" 32 (List.length r.Racecheck.s_threads));
-      let _, races = launch_with_races ~engine shared_racy_read in
+      let _, races = launch_with_races ~exec shared_racy_read in
       (match Racecheck.shared_races races with
       | [] -> Alcotest.fail "unsynchronised write/read reported as race-free"
       | r :: _ ->
         check int "racy cell is offset 5" 5 r.Racecheck.s_offset;
         check bool "writer and readers named" true
           (List.length r.Racecheck.s_threads = 32));
-      let _, clean = launch_with_races ~engine shared_clean in
+      let _, clean = launch_with_races ~exec shared_clean in
       check bool "clean kernel recorded accesses" true
         (Racecheck.shared_accesses clean > 0);
       check int "fill/barrier/read is race-free" 0
         (List.length (Racecheck.shared_races clean)))
-    [ Kernel.Reference; Kernel.Decoded ];
+    Oracle.engines;
   (* The report surfaces the shared section beside the global one. *)
   let _, races = launch_with_races shared_racy_writes in
   let report = Racecheck.report races in
@@ -316,9 +314,9 @@ let shared_cross_warp_clean =
 
 let test_shared_epoch_block_global () =
   List.iter
-    (fun engine ->
+    (fun (_, exec) ->
       let _, races =
-        launch_with_races ~engine ~block:64 shared_cross_warp_racy
+        launch_with_races ~exec ~block:64 shared_cross_warp_racy
       in
       (match Racecheck.shared_races races with
       | [] -> Alcotest.fail "cross-warp same-interval writers missed"
@@ -330,13 +328,13 @@ let test_shared_epoch_block_global () =
         check (Alcotest.list int) "lanes 0 and 32 named" [ 0; 32 ]
           r.Racecheck.s_threads);
       let _, clean =
-        launch_with_races ~engine ~block:64 shared_cross_warp_clean
+        launch_with_races ~exec ~block:64 shared_cross_warp_clean
       in
       check bool "clean kernel recorded accesses" true
         (Racecheck.shared_accesses clean > 0);
       check int "barrier-separated cross-warp exchange is race-free" 0
         (List.length (Racecheck.shared_races clean)))
-    [ Kernel.Reference; Kernel.Decoded ]
+    Oracle.engines
 
 (* --- byte-identical reports and traces at any shard width ----------- *)
 
@@ -353,21 +351,21 @@ let atomic_mix =
 
 let test_report_bytes_deterministic () =
   List.iter
-    (fun engine ->
+    (fun (_, exec) ->
       List.iter
         (fun src ->
-          let _, serial = launch_with_races ~engine ~sim_jobs:1 src in
+          let _, serial = launch_with_races ~exec ~sim_jobs:1 src in
           let want = Racecheck.report serial in
           List.iter
             (fun sim_jobs ->
-              let _, sharded = launch_with_races ~engine ~sim_jobs src in
+              let _, sharded = launch_with_races ~exec ~sim_jobs src in
               check Alcotest.string
                 (Printf.sprintf "report bytes at sim_jobs %d" sim_jobs)
                 want
                 (Racecheck.report sharded))
             [ 2; 3 ])
         [ racy; shared_racy_writes; shared_clean; atomic_mix ])
-    [ Kernel.Reference; Kernel.Decoded ];
+    Oracle.engines;
   (* The atomics line is present exactly when atomics ran. *)
   let _, races = launch_with_races atomic_mix in
   check bool "atomics line present" true
@@ -380,34 +378,34 @@ let test_report_bytes_deterministic () =
 (* Traced launches shard too: per-shard buffers spliced in block order
    must reproduce the serial stream byte for byte, including the cutoff
    of a small [limit]. *)
-let run_traced ?(engine = Kernel.Decoded) ?limit ~sim_jobs src =
+let run_traced ?(exec : Oracle.exec = Kernel.exec) ?limit ~sim_jobs src =
   let fn = Ir_helpers.compile_one src in
   ignore (Uu_opt.Pass.exec [ Uu_opt.Mem2reg.pass ] fn);
   let mem = Memory.create () in
   let out = Memory.zeros_f64 mem 512 in
   let tracer = Trace.create ?limit () in
   ignore
-    (Kernel.exec ~config:(Kernel.config ~engine ~tracer ~sim_jobs ()) mem fn
+    (exec ~config:(Kernel.config ~tracer ~sim_jobs ()) mem fn
        ~grid_dim:4 ~block_dim:32
        ~args:[ Kernel.Buf out; Kernel.Int_arg 128L ]);
   (Trace.render fn tracer, List.length (Trace.events tracer))
 
 let test_trace_bytes_deterministic () =
   List.iter
-    (fun engine ->
+    (fun (_, exec) ->
       List.iter
         (fun src ->
-          let want, _ = run_traced ~engine ~sim_jobs:1 src in
+          let want, _ = run_traced ~exec ~sim_jobs:1 src in
           check bool "trace recorded" true (want <> "");
           List.iter
             (fun sim_jobs ->
-              let got, _ = run_traced ~engine ~sim_jobs src in
+              let got, _ = run_traced ~exec ~sim_jobs src in
               check Alcotest.string
                 (Printf.sprintf "trace bytes at sim_jobs %d" sim_jobs)
                 want got)
             [ 2; 3 ])
         [ disjoint; shared_racy_writes ])
-    [ Kernel.Reference; Kernel.Decoded ];
+    Oracle.engines;
   (* Truncation parity: a limit smaller than the stream cuts the sharded
      splice at exactly the serial prefix. *)
   let want, n = run_traced ~limit:10 ~sim_jobs:1 disjoint in
@@ -419,6 +417,59 @@ let test_trace_bytes_deterministic () =
         (Printf.sprintf "truncated trace bytes at sim_jobs %d" sim_jobs)
         want got)
     [ 2; 3 ]
+
+(* The cross-engine half of the CLI's race-checked, traced smoke:
+   `uu run APP --grid 32 --block 128 --elems 4096 --check-races --trace
+   --sim-jobs 2` for the atomics app and the multi-warp reduction. The
+   launches below replay [Runner.respond]'s synthetic-buffer protocol
+   (their decoded output must equal the CLI's response), and the
+   reference interpreter must render the same race report and trace
+   bytes. *)
+let test_cli_smoke_engines_agree () =
+  List.iter
+    (fun name ->
+      let request =
+        Uu_serve.Request.make ~grid_dim:32 ~block_dim:128 ~elems:4096
+          ~check_races:true ~trace:true ~sim_jobs:2 (Uu_serve.Request.App name)
+          Pipelines.Uu_heuristic
+      in
+      let app = Option.get (Registry.find name) in
+      let m = Uu_frontend.Lower.compile ~name app.App.source in
+      ignore (Pipelines.optimize_module ~targets:Pipelines.All_loops Pipelines.Uu_heuristic m);
+      let launch (exec : Oracle.exec) =
+        let mem = Memory.create () and rng = Rng.create 7L in
+        List.map
+          (fun (f : Func.t) ->
+            let args = Runner.synthetic_args ~elems:4096 rng mem f in
+            let races = Racecheck.create () and tracer = Trace.create () in
+            ignore
+              (exec ~config:(Kernel.config ~races ~tracer ~sim_jobs:2 ()) mem f
+                 ~grid_dim:32 ~block_dim:128 ~args);
+            (Racecheck.report races, Trace.render f tracer))
+          m.Func.funcs
+      in
+      let cli =
+        match Runner.run_request request with
+        | Ok { Uu_serve.Response.body = Uu_serve.Response.Measured ms; _ } ->
+          List.map
+            (fun (r : Uu_serve.Response.measurement) ->
+              (Option.get r.races, Option.get r.trace))
+            ms
+        | _ -> Alcotest.failf "%s: `uu run` failed" name
+      in
+      List.iter
+        (fun (engine, exec) ->
+          List.iter2
+            (fun (want_races, want_trace) (races, trace) ->
+              check Alcotest.string
+                (Printf.sprintf "%s %s race report" name engine)
+                want_races races;
+              check Alcotest.string
+                (Printf.sprintf "%s %s trace" name engine)
+                want_trace trace)
+            cli (launch exec))
+        Oracle.engines)
+    [ "histogram"; "treduce-128" ]
 
 (* Kernels with no shared memory must not grow a shared section: the
    global-only report is unchanged from the pre-shared simulator. *)
@@ -501,6 +552,8 @@ let suite =
       test_report_bytes_deterministic;
     Alcotest.test_case "trace bytes shard-deterministic" `Quick
       test_trace_bytes_deterministic;
+    Alcotest.test_case "CLI race+trace smoke: engines agree" `Quick
+      test_cli_smoke_engines_agree;
     Alcotest.test_case "racecheck preserves metrics" `Quick
       test_racecheck_preserves_metrics;
     Alcotest.test_case "noisy shard determinism" `Quick test_noisy_deterministic;

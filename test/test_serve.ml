@@ -46,7 +46,6 @@ let request_gen =
   let* check_races = bool in
   let* trace = bool in
   let* noise_seed = opt (map Int64.of_int int) in
-  let* engine = oneofl [ Uu_gpusim.Kernel.Decoded; Uu_gpusim.Kernel.Reference ] in
   let* sim_jobs = opt (int_range 1 16) in
   return
     {
@@ -60,7 +59,6 @@ let request_gen =
       check_races;
       trace;
       noise_seed;
-      engine;
       sim_jobs;
     }
 
@@ -202,12 +200,16 @@ let props =
            = List.map (fun m -> Json.to_string (Protocol.server_to_json m)) msgs);
     QCheck2.Test.make ~name:"engine and sim_jobs never enter the request key"
       ~count:100 request_gen (fun r ->
-        let flip = function
-          | Uu_gpusim.Kernel.Decoded -> Uu_gpusim.Kernel.Reference
-          | Uu_gpusim.Kernel.Reference -> Uu_gpusim.Kernel.Decoded
+        (* Clients from before the single-engine simulator still send an
+           "engine" member: it is ignored on read. *)
+        let legacy =
+          match Request.to_json { r with Request.sim_jobs = Some 13 } with
+          | Json.Obj fields -> Json.Obj (fields @ [ ("engine", Json.Str "reference") ])
+          | j -> j
         in
-        Request.key { r with Request.engine = flip r.engine; sim_jobs = Some 13 }
-        = Request.key r);
+        match Request.of_json legacy with
+        | Ok r' -> Request.key r' = Request.key r
+        | Error _ -> false);
   ]
 
 (* --- framing over a real channel ------------------------------------ *)
@@ -458,6 +460,39 @@ let test_end_to_end () =
           check bool "parse failure is an Error response" true
             (match bad_resp with Error _ -> true | Ok _ -> false)))
 
+(* An oversized launch shape is refused before anything is allocated
+   (a block of 10^8 threads would exhaust the daemon's heap), with the
+   bytes `uu run` gives, and the daemon keeps serving. *)
+let test_shape_rejected () =
+  with_server "shape" (fun ~socket ~server:_ ->
+      let huge =
+        Request.make ~grid_dim:1 ~block_dim:100_000_000 ~elems:64
+          (Request.App "stencil1d") Uu_core.Pipelines.Baseline
+      in
+      let normal =
+        Request.make ~grid_dim:4 ~block_dim:32 ~elems:1024 (Request.App "stencil1d")
+          Uu_core.Pipelines.Baseline
+      in
+      let client = Client.connect ~socket () in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          let _, rejected = Client.request client huge in
+          (match rejected with
+          | Error msg ->
+            check bool "names the block bound" true
+              (Astring.String.is_infix ~affix:"block 100000000 is outside [1, 1024]"
+                 msg)
+          | Ok _ -> Alcotest.fail "huge block accepted");
+          check string "rejection = local run_request"
+            (Response.to_string (Uu_harness.Runner.run_request huge))
+            (Response.to_string rejected);
+          let _, served = Client.request client normal in
+          check string "then serves a normal request"
+            (Response.to_string (Uu_harness.Runner.run_request normal))
+            (Response.to_string served);
+          check bool "normal request measured" true (Result.is_ok served)))
+
 let test_inflight_dedupe () =
   with_server "dedupe" (fun ~socket ~server ->
       (* A request slow enough that all clients pile in while it runs. *)
@@ -703,6 +738,7 @@ let suite =
       ("launch_config defaults", `Quick, test_launch_defaults);
       ("noise-seed delegation", `Quick, test_noise_seed);
       ("daemon end to end", `Quick, test_end_to_end);
+      ("daemon rejects an oversized launch shape", `Quick, test_shape_rejected);
       ("in-flight dedupe: N requests, one execution", `Quick, test_inflight_dedupe);
       ("daemon over tcp", `Quick, test_tcp_end_to_end);
       ("overload sheds with busy frames", `Quick, test_overload_shed);
