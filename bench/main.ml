@@ -1,93 +1,20 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation and times each regeneration with Bechamel.
+(* Simulator and serve-daemon benchmarks, one mode per argument:
 
-   Structure:
-   - one Bechamel [Test.make] per table/figure (Table I, Fig 6a/6b/6c,
-     Fig 7, Fig 8a/8b), each wrapping its generator at a reduced scale so
-     Bechamel can sample it repeatedly;
-   - ablation benches for the design decisions DESIGN.md calls out
-     (unroll-then-unmerge vs unmerge-then-unroll; whole-path duplication
-     vs one-level DBDS; transactional budget rollback cost) plus
-     compile-time benches of the pipelines themselves;
-   - after timing, the harness regenerates everything at full scale once
-     and prints the paper-shaped rows/series (this is the output recorded
-     in bench_output.txt and compared against the paper in
-     EXPERIMENTS.md). *)
+   - [sim-throughput]: warp-instructions/second of the decoded simulator
+     against the reference interpreter of the test oracle (exits 1 if
+     the simulator is not the faster of the two);
+   - [sim-parallel [PATH]]: block-shard scaling over --sim-jobs widths,
+     recorded in PATH (default BENCH_sim_parallel.json);
+   - [serve [PATH]]: sustained load against an in-process serve daemon,
+     recorded in PATH (default BENCH_serve.json).
 
-open Bechamel
-open Toolkit
+   End-to-end timing of the compiler and the Table I protocol lives in
+   perfbench/. *)
 
 let app name =
   match Uu_benchmarks.Registry.find name with
   | Some a -> a
   | None -> failwith ("unknown app " ^ name)
-
-(* Reduced-scale inputs for the timed section. *)
-let bench_apps = [ app "bezier-surface"; app "complex" ]
-let sweep_app = [ app "mandelbrot" ]
-
-let table1_test =
-  Test.make ~name:"table1"
-    (Staged.stage (fun () ->
-         ignore (Uu_harness.Table1.compute ~runs:2 ~apps:bench_apps ())))
-
-let sweep () = Uu_harness.Sweep.run ~apps:sweep_app ()
-
-let fig_test name render =
-  Test.make ~name
-    (Staged.stage (fun () ->
-         let s = sweep () in
-         ignore (render s)))
-
-let fig6a_test = fig_test "fig6a" Uu_harness.Figures.fig6a
-let fig6b_test = fig_test "fig6b" Uu_harness.Figures.fig6b
-let fig6c_test = fig_test "fig6c" Uu_harness.Figures.fig6c
-let fig7_test = fig_test "fig7" Uu_harness.Figures.fig7
-let fig8a_test = fig_test "fig8a" Uu_harness.Figures.fig8a
-let fig8b_test = fig_test "fig8b" Uu_harness.Figures.fig8b
-
-(* Ablation benches: the structure of the core transform itself. *)
-
-let rainflow_fn () =
-  let m =
-    Uu_frontend.Lower.compile ~name:"rainflow"
-      (app "rainflow").Uu_benchmarks.App.source
-  in
-  let f = List.hd m.Uu_ir.Func.funcs in
-  ignore (Uu_opt.Pass.exec ~options:Uu_opt.Pass.unverified Uu_core.Pipelines.early_passes f);
-  let forest = Uu_analysis.Loops.analyze f in
-  (f, (List.hd (Uu_analysis.Loops.loops forest)).Uu_analysis.Loops.header)
-
-let ablation_uu_order =
-  Test.make ~name:"ablation:unroll-then-unmerge"
-    (Staged.stage (fun () ->
-         let f, header = rainflow_fn () in
-         ignore (Uu_core.Uu.uu_loop f ~header ~factor:2)))
-
-let ablation_unmerge_then_unroll =
-  Test.make ~name:"ablation:unmerge-then-unroll"
-    (Staged.stage (fun () ->
-         let f, header = rainflow_fn () in
-         ignore (Uu_core.Unmerge.unmerge_loop f ~header ~budget:16384);
-         ignore (Uu_opt.Unroll.unroll_loop f ~header ~factor:2)))
-
-let ablation_dbds =
-  Test.make ~name:"ablation:dbds-one-level"
-    (Staged.stage (fun () ->
-         let f, header = rainflow_fn () in
-         ignore (Uu_core.Unmerge.dbds_unmerge_loop f ~header ~budget:16384)))
-
-let ablation_selective =
-  Test.make ~name:"ablation:selective-unmerge"
-    (Staged.stage (fun () ->
-         let f, header = rainflow_fn () in
-         ignore (Uu_core.Uu.uu_loop ~selective:true f ~header ~factor:2)))
-
-let ablation_rollback =
-  Test.make ~name:"ablation:budget-rollback"
-    (Staged.stage (fun () ->
-         let f, header = rainflow_fn () in
-         ignore (Uu_core.Uu.uu_loop ~budget:64 f ~header ~factor:8)))
 
 (* Simulator throughput: the pre-decoded simulator vs the tree-walking
    reference interpreter of the test oracle, and decode-cold (fresh
@@ -130,29 +57,6 @@ let simulate_module ?(exec : Uu_sim_oracle.Oracle.exec = Uu_gpusim.Kernel.exec)
       Uu_gpusim.Metrics.add total r.Uu_gpusim.Kernel.metrics)
     instance.Uu_benchmarks.App.launches;
   total
-
-let sim_reference_test =
-  let cm = lazy (sim_module (Uu_core.Pipelines.Uu 4)) in
-  Test.make ~name:"sim:reference"
-    (Staged.stage (fun () ->
-         ignore (simulate_module ~exec:Uu_sim_oracle.Oracle.exec (Lazy.force cm))))
-
-let sim_decoded_cold_test =
-  let cm = lazy (sim_module (Uu_core.Pipelines.Uu 4)) in
-  Test.make ~name:"sim:decoded-cold"
-    (Staged.stage (fun () ->
-         (* no cache: every launch re-decodes its kernel *)
-         ignore (simulate_module (Lazy.force cm))))
-
-let sim_decoded_warm_test =
-  let cm = lazy (sim_module (Uu_core.Pipelines.Uu 4)) in
-  let cache = Uu_gpusim.Decode.create_cache () in
-  Test.make ~name:"sim:decoded-warm"
-    (Staged.stage (fun () ->
-         ignore
-           (simulate_module ~decode_cache:cache (Lazy.force cm))))
-
-let sim_tests = [ sim_reference_test; sim_decoded_cold_test; sim_decoded_warm_test ]
 
 (* Directly measured warp-instructions/second of the simulator and of the
    reference interpreter, on XSBench under u&u-4. *)
@@ -301,82 +205,6 @@ let sim_parallel_report path =
       (serial_s /. best_s) path;
     if mismatches <> [] then exit 1
   end
-
-let compile_bench config =
-  Test.make
-    ~name:(Printf.sprintf "compile:xsbench:%s" (Uu_core.Pipelines.config_name config))
-    (Staged.stage (fun () ->
-         let m =
-           Uu_frontend.Lower.compile ~name:"xs" (app "XSBench").Uu_benchmarks.App.source
-         in
-         List.iter (fun f -> ignore (Uu_core.Pipelines.optimize config f)) m.Uu_ir.Func.funcs))
-
-let tests =
-  Test.make_grouped ~name:"uu"
-    ([
-      table1_test; fig6a_test; fig6b_test; fig6c_test; fig7_test; fig8a_test;
-      fig8b_test; ablation_uu_order; ablation_unmerge_then_unroll; ablation_dbds;
-      ablation_selective; ablation_rollback;
-      compile_bench Uu_core.Pipelines.Baseline;
-      compile_bench (Uu_core.Pipelines.Uu 4);
-      compile_bench Uu_core.Pipelines.Uu_heuristic;
-    ]
-    @ sim_tests)
-
-let run_bechamel () =
-  let cfg = Benchmark.cfg ~limit:8 ~quota:(Time.second 2.0) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let pretty =
-        match Analyze.OLS.estimates ols with
-        | Some [ t ] ->
-          if t > 1e9 then Printf.sprintf "%8.2f s " (t /. 1e9)
-          else if t > 1e6 then Printf.sprintf "%8.2f ms" (t /. 1e6)
-          else Printf.sprintf "%8.2f us" (t /. 1e3)
-        | Some _ | None -> "     n/a"
-      in
-      rows := (name, pretty) :: !rows)
-    results;
-  Printf.printf "%-45s %12s\n" "benchmark" "time/run";
-  Printf.printf "%s\n" (String.make 58 '-');
-  List.iter
-    (fun (name, pretty) -> Printf.printf "%-45s %12s\n" name pretty)
-    (List.sort compare !rows)
-
-let main () =
-  print_endline "== Bechamel: one benchmark per table/figure (reduced scale) ==";
-  run_bechamel ();
-  print_newline ();
-  print_endline "== Table I (full scale, 20 runs per configuration) ==";
-  let rows = Uu_harness.Table1.compute ~runs:20 () in
-  print_string (Uu_harness.Table1.render rows);
-  print_endline "== Per-loop sweep (full scale) ==";
-  let s = Uu_harness.Sweep.run () in
-  print_endline "== Fig 6a: per-loop u&u speedup ==";
-  print_string (Uu_harness.Figures.fig6a s);
-  print_endline "== Fig 6b: per-loop code size increase ==";
-  print_string (Uu_harness.Figures.fig6b s);
-  print_endline "== Fig 6c: per-loop compile time increase ==";
-  print_string (Uu_harness.Figures.fig6c s);
-  print_endline "== Fig 7: per-app best speedup per configuration ==";
-  print_string (Uu_harness.Figures.fig7 s);
-  print_endline "== Fig 8a: u&u vs unroll, per loop ==";
-  print_string (Uu_harness.Figures.fig8a s);
-  print_endline "== Fig 8b: u&u vs unmerge, per loop ==";
-  print_string (Uu_harness.Figures.fig8b s);
-  print_endline (Uu_harness.Figures.geomean_summary s);
-  print_endline "== In-depth counters (paper SV) ==";
-  print_string (Uu_harness.Counters.render (Uu_harness.Counters.analyze ()));
-  print_endline "== Ablations: transform design decisions ==";
-  print_string (Uu_harness.Ablation.render (Uu_harness.Ablation.run ()))
-
 
 (* --- serve daemon load generator ------------------------------------ *)
 
@@ -594,9 +422,6 @@ let serve_report path =
   end
 
 let () =
-  (* `bench sim-throughput` (CI smoke), `bench sim-parallel [PATH]`, and
-     `bench serve [PATH]` run only the simulator/daemon benchmarks; no
-     argument runs the full paper harness. *)
   match Array.to_list Sys.argv with
   | _ :: "sim-parallel" :: rest ->
     sim_parallel_report (match rest with p :: _ -> p | [] -> "BENCH_sim_parallel.json")
@@ -611,4 +436,7 @@ let () =
     end
   | _ :: "serve" :: rest ->
     serve_report (match rest with p :: _ -> p | [] -> "BENCH_serve.json")
-  | _ -> main ()
+  | _ ->
+    prerr_endline
+      "usage: main.exe (sim-throughput | sim-parallel [PATH] | serve [PATH])";
+    exit 2

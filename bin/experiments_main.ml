@@ -116,8 +116,7 @@ let print_scheduler_stats ctx extra =
 let print_failures failures =
   List.iter
     (fun (f : Jobs.failure) ->
-      Printf.eprintf "FAILED %s (after %d attempts): %s\n%!" f.Jobs.job_label
-        f.Jobs.attempts f.Jobs.message)
+      Printf.eprintf "FAILED %s: %s\n%!" f.Jobs.job_label f.Jobs.message)
     failures
 
 let do_table1 ctx =

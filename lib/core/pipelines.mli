@@ -68,16 +68,9 @@ val optimize :
   Func.t ->
   Uu_opt.Pass.report
 (** Run the configuration's pipeline on a function under the given
-    manager options (verification, remark sink, timeout — see
+    manager options (verification, remark sink — see
     [Uu_opt.Pass.options]); the report's [stats] field carries the
     statistic-counter deltas either way. *)
-
-val optimize_module :
-  ?targets:targets ->
-  ?options:Uu_opt.Pass.options ->
-  config ->
-  Func.modul ->
-  Uu_opt.Pass.report
 
 val early_passes : Uu_opt.Pass.t list
 (** The pipeline prefix run before the structural transform; apply these

@@ -22,8 +22,7 @@ let find_loop f header =
   List.find_opt (fun (l : Loops.loop) -> l.header = header)
     (Loops.loops (Loops.analyze f))
 
-let uu_loop ?(budget = default_block_budget) ?(selective = false)
-    ?(unroll_nested = false) f ~header ~factor =
+let uu_loop ?(budget = default_block_budget) ?(selective = false) f ~header ~factor =
   match find_loop f header with
   | None -> no_outcome
   | Some loop ->
@@ -33,22 +32,8 @@ let uu_loop ?(budget = default_block_budget) ?(selective = false)
          transactional: exhausting the duplication budget rolls the
          function back (the paper's compile-timeout analogue). *)
       let snapshot = Func.copy f in
-      (* By default only the target loop is unrolled and inner loops are
-         only unmerged (SIII-C); the configuration option also unrolls the
-         nest, innermost first. *)
-      if unroll_nested && factor >= 2 then begin
-        let inner_headers =
-          List.filter_map
-            (fun (l : Loops.loop) ->
-              if l.header <> header && Value.Label_set.mem l.header loop.Loops.blocks
-              then Some l.header
-              else None)
-            (Loops.innermost_first (Loops.analyze f))
-        in
-        List.iter
-          (fun h -> ignore (Uu_opt.Unroll.unroll_loop f ~header:h ~factor))
-          inner_headers
-      end;
+      (* Only the target loop is unrolled; inner loops are only unmerged
+         (SIII-C). *)
       let unrolled =
         if factor >= 2 then Uu_opt.Unroll.unroll_loop f ~header ~factor else false
       in

@@ -34,17 +34,14 @@ val default_block_budget : int
 val uu_loop :
   ?budget:int ->
   ?selective:bool ->
-  ?unroll_nested:bool ->
   Func.t ->
   header:Value.label ->
   factor:int ->
   outcome
 (** Apply u&u to one loop. [factor = 1] performs unmerging only; the loop
     is still tagged no-unroll, matching the paper's [unmerge]
-    configuration (their pass with unroll factor 1). By default nested
-    loops are only unmerged, not unrolled (SIII-C); [unroll_nested]
-    enables the paper's configuration option that unrolls the whole
-    nest, innermost first. *)
+    configuration (their pass with unroll factor 1). Nested loops are
+    only unmerged, not unrolled (SIII-C). *)
 
 type heuristic_params = {
   c : int;        (** size bound on [f(p,s,u)]; paper default 1024 *)

@@ -29,6 +29,6 @@ val run :
     [Jobs.Custom] work on the domain pool ([jobs] domains) and are cached
     under their stable variant names like any other job; the
     duplicated-block count travels in the measurement's stats.
-    @raise Failure if a variant fails after its retry. *)
+    @raise Failure if a variant fails. *)
 
 val render : row list -> string

@@ -69,7 +69,6 @@ type failure = {
   job_label : string;
   job_key : string;
   message : string;
-  attempts : int;
 }
 
 type result = {
@@ -79,10 +78,10 @@ type result = {
   from_cache : bool;
 }
 
-let execute_once ?timeout ?sim_jobs j jkey =
+let execute_once ?sim_jobs j jkey =
   let compiled =
     match j.work with
-    | Pipeline -> Runner.compile ?target:j.target ?timeout j.app j.config
+    | Pipeline -> Runner.compile ?target:j.target j.app j.config
     | Custom { compile; _ } -> compile ()
   in
   let measurements =
@@ -103,24 +102,15 @@ let execute_once ?timeout ?sim_jobs j jkey =
     measurements;
   measurements
 
-let execute ?timeout ?sim_jobs ~retries j jkey =
-  let rec go attempt =
-    match execute_once ?timeout ?sim_jobs j jkey with
-    | measurements -> Ok measurements
-    | exception e ->
-      if attempt <= retries then go (attempt + 1)
-      else
-        Error
-          {
-            job_label = label j;
-            job_key = jkey;
-            message = Printexc.to_string e;
-            attempts = attempt;
-          }
-  in
-  go 1
+(* A job is a pure function of its content key, so a failure is final:
+   re-running it would only reproduce the same exception. *)
+let execute ?sim_jobs j jkey =
+  match execute_once ?sim_jobs j jkey with
+  | measurements -> Ok measurements
+  | exception e ->
+    Error { job_label = label j; job_key = jkey; message = Printexc.to_string e }
 
-let run_all ?jobs ?sim_jobs ?cache ?timeout ?(retries = 1) job_list =
+let run_all ?jobs ?sim_jobs ?cache job_list =
   let arr = Array.of_list job_list in
   let keys = Array.map (fun j -> key j) arr in
   (* Cache I/O stays on the calling domain: probe everything up front,
@@ -153,7 +143,7 @@ let run_all ?jobs ?sim_jobs ?cache ?timeout ?(retries = 1) job_list =
   in
   let executed =
     Parallel.map ?jobs
-      (fun i -> (i, execute ?timeout ~sim_jobs ~retries arr.(i) keys.(i)))
+      (fun i -> (i, execute ~sim_jobs arr.(i) keys.(i)))
       todo
   in
   let outcomes = Array.make (Array.length arr) None in
@@ -180,22 +170,4 @@ let measurements_exn r =
   | Ok measurements -> measurements
   | Error f ->
     failwith
-      (Printf.sprintf "job %s failed after %d attempts: %s" f.job_label f.attempts
-         f.message)
-
-let summarize ?cache results =
-  let total = List.length results in
-  let hits = List.length (List.filter (fun r -> r.from_cache) results) in
-  let failed =
-    List.length (List.filter (fun r -> Stdlib.Result.is_error r.outcome) results)
-  in
-  [
-    ("harness.jobs_total", total);
-    ("harness.jobs_executed", total - hits);
-    ("harness.jobs_failed", failed);
-    ("harness.cache_hits", hits);
-  ]
-  @
-  match cache with
-  | None -> []
-  | Some c -> [ ("harness.cache_misses", Result_cache.misses c) ]
+      (Printf.sprintf "job %s failed: %s" f.job_label f.message)

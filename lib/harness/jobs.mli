@@ -16,9 +16,10 @@
     identical measurements.
 
     {b Fault isolation.} A job that raises (a pass bug, a failed oracle
-    check, a [Uu_opt.Pass.Timeout]) is retried once; a second failure
-    becomes a structured {!failure} record in that job's result, and the
-    remaining jobs are unaffected. *)
+    check) becomes a structured {!failure} record in that job's result,
+    and the remaining jobs are unaffected. It is not retried: a job is a
+    pure function of its key, so a retry would only reproduce the same
+    failure. *)
 
 open Uu_core
 
@@ -86,8 +87,7 @@ val noise_seed : key:string -> int -> int64
 type failure = {
   job_label : string;
   job_key : string;
-  message : string;  (** the final attempt's exception *)
-  attempts : int;
+  message : string;  (** the job's exception *)
 }
 
 type result = {
@@ -102,8 +102,6 @@ val run_all :
   ?jobs:int ->
   ?sim_jobs:int ->
   ?cache:Result_cache.t ->
-  ?timeout:float ->
-  ?retries:int ->
   job list ->
   result list
 (** Execute a job list. [jobs] is the domain-pool size (default
@@ -114,19 +112,10 @@ val run_all :
     the machine), while a queue that fans out fewer uncached jobs than
     there are cores splits the remainder evenly — the two levels compose
     instead of oversubscribing. Neither [jobs] nor [sim_jobs] can change
-    any measurement byte. [timeout] is a per-attempt compilation budget
-    in seconds; [retries] (default 1) is how many times a
-    failed job is re-attempted before a {!failure} is recorded. Cache
-    lookups and stores happen on the calling domain only. Results are in
-    input order. *)
+    any measurement byte. Cache lookups and stores happen on the calling
+    domain only. Results are in input order. *)
 
 val measurements_exn : result -> Runner.measurement list
 (** The job's measurements. @raise Failure with the failure message when
     the job failed — for callers (Table I, ablations) that keep the old
     fail-fast behaviour. *)
-
-val summarize : ?cache:Result_cache.t -> result list -> (string * int) list
-(** Counter-style summary for [--stats]: [harness.jobs_total],
-    [harness.jobs_executed], [harness.jobs_failed], [harness.cache_hits],
-    and (when [cache] is given) [harness.cache_misses]. Render with
-    [Report.render_stats]. *)

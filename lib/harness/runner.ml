@@ -14,10 +14,8 @@ type loop_ref = {
    and input 20 times; only hardware noise varies). *)
 let workload_seed = 0x5EEDL
 
-let compile_app (app : App.t) = Uu_frontend.Lower.compile ~name:app.App.name app.App.source
-
 let loop_inventory (app : App.t) =
-  let m = compile_app app in
+  let m = Uu_frontend.Lower.compile ~name:app.App.name app.App.source in
   List.concat_map
     (fun f ->
       ignore (Uu_opt.Pass.exec ~options:Uu_opt.Pass.unverified Pipelines.early_passes f);
@@ -54,79 +52,81 @@ let compile_work_per_second = 200_000.0
 let transfer_bytes_per_ms = 65_536.0
 
 type compiled = {
-  c_app : App.t;
-  c_config : Pipelines.config;
+  c_app : App.t option;
+      (* the registry app whose launch schedule [simulate] replays; [None]
+         for inline source text *)
   c_target : loop_ref option;
   modul : Func.modul;
-  compile_seconds : float;
+  c_config : Pipelines.config;
+  work : int;
   c_remarks : Remark.t list;
   c_stats : (string * int) list;
   c_decode : Decode.cache;
       (* per-(function, device) decode memo: the module is frozen after
-         [compile], so repeated simulations (Table I's 20-run protocol)
-         decode each kernel once *)
+         compilation, so repeated simulations (Table I's 20-run protocol,
+         every request sharing one compile key) decode each kernel once *)
 }
 
-let compile ?target ?timeout (app : App.t) config =
-  let m = compile_app app in
-  (* Optimize each kernel; the transform is restricted to the target loop
-     when one is given. Remarks and statistic deltas are collected across
-     all kernels of the application. *)
+(* The one compile core: lower [text], then optimize each kernel under
+   [config] with the loop targets [targets] picks from that kernel
+   alone. Remarks and statistic deltas are collected across all
+   kernels. *)
+let compile_source ?app ?target ~name ~text ~targets config =
+  let m = Uu_frontend.Lower.compile ~name text in
   let sink = Remark.create () in
-  let deadline = Option.map (fun budget -> Unix.gettimeofday () +. budget) timeout in
+  let options = { Uu_opt.Pass.default_options with remarks = Some sink } in
   let work, stats =
     List.fold_left
-      (fun (acc, stats) f ->
-        let targets =
-          match target with
-          | None -> Pipelines.All_loops
-          | Some t ->
-            if t.kernel = f.Func.name then Pipelines.Only [ t.header ]
-            else Pipelines.Only []
-        in
-        let options =
-          (* The budget spans all kernels: each kernel gets what is left
-             of the job's deadline, not a fresh allowance. *)
-          let timeout =
-            Option.map (fun d -> Float.max 0.001 (d -. Unix.gettimeofday ())) deadline
-          in
-          { Uu_opt.Pass.default_options with remarks = Some sink; timeout }
-        in
-        let report = Pipelines.optimize ~targets ~options config f in
-        ( acc + report.Uu_opt.Pass.work,
+      (fun (work, stats) f ->
+        let report = Pipelines.optimize ~targets:(targets f) ~options config f in
+        ( work + report.Uu_opt.Pass.work,
           Statistic.merge stats report.Uu_opt.Pass.stats ))
       (0, []) m.Func.funcs
   in
-  let compile_seconds = float_of_int work /. compile_work_per_second in
   {
     c_app = app;
-    c_config = config;
     c_target = target;
     modul = m;
-    compile_seconds;
+    c_config = config;
+    work;
     c_remarks = Remark.remarks sink;
     c_stats = stats;
     c_decode = Decode.create_cache ();
   }
 
-let make_compiled ?target ?(compile_seconds = 0.0) ?(remarks = []) ?(stats = [])
-    ~app ~config modul =
+let compile ?target (app : App.t) config =
+  let targets (f : Func.t) =
+    match target with
+    | None -> Pipelines.All_loops
+    | Some t -> Pipelines.Only (if t.kernel = f.Func.name then [ t.header ] else [])
+  in
+  compile_source ~app ?target ~name:app.App.name ~text:app.App.source ~targets config
+
+let make_compiled ?(stats = []) ~app ~config modul =
   {
-    c_app = app;
-    c_config = config;
-    c_target = target;
+    c_app = Some app;
+    c_target = None;
     modul;
-    compile_seconds;
-    c_remarks = remarks;
+    c_config = config;
+    work = 0;
+    c_remarks = [];
     c_stats = stats;
     c_decode = Decode.create_cache ();
   }
 
+let compiled_module c = c.modul
 let compiled_remarks c = c.c_remarks
 let compiled_stats c = c.c_stats
 
+let compile_seconds c = float_of_int c.work /. compile_work_per_second
+
+let app_of c =
+  match c.c_app with
+  | Some app -> app
+  | None -> invalid_arg "Runner: inline source text has no launch schedule"
+
 let simulate ?noise_seed ?sim_jobs (c : compiled) =
-  let app = c.c_app and m = c.modul in
+  let app = app_of c and m = c.modul in
   let instance = app.App.setup (Rng.create workload_seed) in
   let noise = Option.map Rng.create noise_seed in
   (* Run-level clock/DVFS jitter on top of the per-warp memory jitter;
@@ -173,7 +173,7 @@ let simulate ?noise_seed ?sim_jobs (c : compiled) =
     kernel_ms = !cycles *. run_factor /. cycles_per_ms;
     transfer_ms = float_of_int instance.App.transfer_bytes /. transfer_bytes_per_ms;
     code_bytes = !code;
-    compile_seconds = c.compile_seconds;
+    compile_seconds = compile_seconds c;
     metrics = total;
     check = instance.App.check ();
     remarks = c.c_remarks;
@@ -186,7 +186,7 @@ let simulate ?noise_seed ?sim_jobs (c : compiled) =
    collect per shard and merge in block order, so the report bytes are
    the same at any sim_jobs width. *)
 let race_audit (c : compiled) =
-  let app = c.c_app and m = c.modul in
+  let app = app_of c and m = c.modul in
   let instance = app.App.setup (Rng.create workload_seed) in
   List.map
     (fun (l : App.launch) ->
@@ -225,63 +225,34 @@ let run_exn ?noise_seed ?sim_jobs ?target app config =
 
 (* --- the request funnel --------------------------------------------- *)
 
-type request_compiled = {
-  rq_modul : Func.modul;
-  rq_config : Pipelines.config;
-  rq_work : int;
-  rq_remarks : Remark.t list;
-  rq_stats : (string * int) list;
-  rq_decode : Decode.cache;
-}
-
 let resolve_source = function
-  | Uu_serve.Request.Inline { name; text } -> Ok (name, text)
+  | Uu_serve.Request.Inline { name; text } -> Ok (None, name, text)
   | Uu_serve.Request.App name -> (
     match Registry.find name with
-    | Some app -> Ok (app.App.name, app.App.source)
+    | Some app -> Ok (Some app, app.App.name, app.App.source)
     | None ->
       Error
         (Printf.sprintf "%s is not a bundled application (known apps: %s)" name
            (String.concat ", " Registry.names)))
 
 let compile_request (r : Uu_serve.Request.t) =
+  (* A loop id is resolved in each kernel against that kernel freshly
+     lowered, the way `uu run --loop` always has (before the early phase
+     -- apps going through the job graph use [loop_inventory] instead). *)
+  let targets f =
+    match r.loop with
+    | None -> Pipelines.All_loops
+    | Some id ->
+      Pipelines.Only
+        (Option.to_list
+           (Option.map
+              (fun (l : Uu_analysis.Loops.loop) -> l.header)
+              (Uu_analysis.Loops.find (Uu_analysis.Loops.analyze f) id)))
+  in
   match resolve_source r.source with
   | Error _ as e -> e
-  | Ok (name, text) -> (
-    let body () =
-      let m = Uu_frontend.Lower.compile ~name text in
-      (* Loop ids are resolved against the freshly lowered module, the
-         way `uu run --loop` always has (before the early phase — apps
-         going through the job graph use [loop_inventory] instead). *)
-      let targets =
-        match r.loop with
-        | None -> Pipelines.All_loops
-        | Some id ->
-          let headers =
-            List.concat_map
-              (fun f ->
-                let forest = Uu_analysis.Loops.analyze f in
-                List.filter_map
-                  (fun (l : Uu_analysis.Loops.loop) ->
-                    if l.id = id then Some l.header else None)
-                  (Uu_analysis.Loops.loops forest))
-              m.Func.funcs
-          in
-          Pipelines.Only headers
-      in
-      let sink = Remark.create () in
-      let options = { Uu_opt.Pass.default_options with remarks = Some sink } in
-      let report = Pipelines.optimize_module ~targets ~options r.config m in
-      {
-        rq_modul = m;
-        rq_config = r.config;
-        rq_work = report.Uu_opt.Pass.work;
-        rq_remarks = Remark.remarks sink;
-        rq_stats = report.Uu_opt.Pass.stats;
-        rq_decode = Decode.create_cache ();
-      }
-    in
-    match body () with
+  | Ok (app, name, text) -> (
+    match compile_source ?app ~name ~text ~targets r.config with
     | c -> Ok c
     | exception Uu_frontend.Lexer.Error (msg, pos) ->
       Error
@@ -334,25 +305,24 @@ let check_shape (r : Uu_serve.Request.t) =
     ]
 
 let respond ?(default_sim_jobs = 1) (r : Uu_serve.Request.t)
-    (c : request_compiled) : Uu_serve.Response.t =
-  let compile_seconds = float_of_int c.rq_work /. compile_work_per_second in
+    (c : compiled) : Uu_serve.Response.t =
   let finish body =
     Ok
       {
-        Uu_serve.Response.config = c.rq_config;
+        Uu_serve.Response.config = c.c_config;
         body;
-        compile_seconds;
-        remarks = c.rq_remarks;
-        stats = c.rq_stats;
+        compile_seconds = compile_seconds c;
+        remarks = c.c_remarks;
+        stats = c.c_stats;
       }
   in
   match r.mode with
   | Uu_serve.Request.Compile ->
     let ir =
-      String.concat "" (List.map Printer.func_to_string c.rq_modul.Func.funcs)
+      String.concat "" (List.map Printer.func_to_string c.modul.Func.funcs)
     in
     let instr_count =
-      List.fold_left (fun acc f -> acc + Func.instr_count f) 0 c.rq_modul.Func.funcs
+      List.fold_left (fun acc f -> acc + Func.instr_count f) 0 c.modul.Func.funcs
     in
     finish (Uu_serve.Response.Compiled { ir; instr_count })
   | Uu_serve.Request.Run -> (
@@ -375,7 +345,7 @@ let respond ?(default_sim_jobs = 1) (r : Uu_serve.Request.t)
               tracer;
               sim_jobs;
               noise;
-              decode_cache = Some c.rq_decode;
+              decode_cache = Some c.c_decode;
             }
           in
           let result =
@@ -390,7 +360,7 @@ let respond ?(default_sim_jobs = 1) (r : Uu_serve.Request.t)
             races = Option.map Racecheck.report races;
             trace = Option.map (Trace.render f) tracer;
           })
-        c.rq_modul.Func.funcs
+        c.modul.Func.funcs
     in
     match check_shape r with
     | Some msg -> Error msg

@@ -36,23 +36,25 @@ val cycles_per_ms : float
 (** Conversion between simulated cycles and reported milliseconds. *)
 
 type compiled
-(** A compiled application (all kernels optimized under one
-    configuration), reusable across simulation runs. *)
+(** An optimized module with its compile report (deterministic work,
+    remarks, statistic deltas) and a warm decode cache, reusable across
+    simulation runs and across every request sharing one
+    [Uu_serve.Request.compile_key]. {!compile} and {!compile_request}
+    are two front ends over one compile core: lower the source, pick
+    each kernel's loop targets from that kernel alone, optimize. The
+    decode cache inside is single-domain: callers sharing a [compiled]
+    across domains must serialize their simulations (the serve daemon
+    holds a per-entry lock). *)
 
 val compile :
   ?target:loop_ref ->
-  ?timeout:float ->
   Uu_benchmarks.App.t ->
   Pipelines.config ->
   compiled
-(** [timeout] is a wall-clock budget in seconds covering the whole
-    compilation (all kernels), enforced cooperatively between passes —
-    see [Uu_opt.Pass.Timeout]. *)
+(** Compile every kernel of [app] under [config]; with [target], the
+    transform applies to that one loop only. *)
 
 val make_compiled :
-  ?target:loop_ref ->
-  ?compile_seconds:float ->
-  ?remarks:Uu_support.Remark.t list ->
   ?stats:(string * int) list ->
   app:Uu_benchmarks.App.t ->
   config:Pipelines.config ->
@@ -64,23 +66,26 @@ val make_compiled :
     configurations. [config] is recorded in the resulting measurements;
     extra [stats] entries ride along in [measurement.stats]. *)
 
+val compiled_module : compiled -> Uu_ir.Func.modul
 val compiled_remarks : compiled -> Uu_support.Remark.t list
 val compiled_stats : compiled -> (string * int) list
-(** The remark stream / statistic deltas of a compilation, without
-    simulating (used by the [experiments remarks] subcommand). *)
+(** The optimized module / remark stream / statistic deltas of a
+    compilation, without simulating (used by [uu --dot], [uu provenance]
+    and the [experiments remarks] subcommand). *)
 
 val simulate :
   ?noise_seed:int64 ->
   ?sim_jobs:int ->
   compiled ->
   measurement
-(** Simulate a previously compiled application; used by Table I's 20-run
-    protocol to avoid recompiling per run. Each {!compiled} carries its
-    own decode cache, so
-    repeated simulations decode every kernel exactly once. [sim_jobs]
-    (default 1) shards each launch's blocks over that many domains —
-    measurements are byte-identical for any value (see
-    [Kernel.exec]). *)
+(** Simulate a previously compiled application under its launch
+    schedule; used by Table I's 20-run protocol to avoid recompiling per
+    run. Each {!compiled} carries its own decode cache, so repeated
+    simulations decode every kernel exactly once. [sim_jobs] (default 1)
+    shards each launch's blocks over that many domains — measurements
+    are byte-identical for any value (see [Kernel.exec]).
+    @raise Invalid_argument if [c] was compiled from inline source text,
+    which has no launch schedule. *)
 
 val race_audit :
   compiled ->
@@ -121,19 +126,12 @@ val run_exn :
     cacheable by [Request.compile_key]) and responded to per request
     identity (shape, races, noise). *)
 
-type request_compiled
-(** An optimized module plus its compile report and warm decode cache,
-    reusable across every request sharing one
-    [Uu_serve.Request.compile_key]. The decode cache inside is
-    single-domain: callers sharing a [request_compiled] across domains
-    must serialize their {!respond} calls (the serve daemon holds a
-    per-entry lock). *)
-
-val compile_request :
-  Uu_serve.Request.t -> (request_compiled, string) result
+val compile_request : Uu_serve.Request.t -> (compiled, string) result
 (** Resolve the source (registry app or inline text), lower, and
-    optimize under the request's config and target loop. All frontend
-    and pipeline failures come back as [Error] text, never exceptions. *)
+    optimize under the request's config. A request's loop id names, in
+    each kernel, the loop with that id in the freshly lowered kernel.
+    All frontend and pipeline failures come back as [Error] text, never
+    exceptions. *)
 
 val synthetic_args :
   elems:int ->
@@ -149,7 +147,7 @@ val synthetic_args :
 val respond :
   ?default_sim_jobs:int ->
   Uu_serve.Request.t ->
-  request_compiled ->
+  compiled ->
   Uu_serve.Response.t
 (** Answer one request from its compiled module: print IR for [Compile]
     mode, simulate every kernel with the synthetic-buffer protocol for

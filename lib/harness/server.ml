@@ -4,12 +4,12 @@ open Uu_serve
 
 (* A compiled-module memo entry. [ce_lock] is held while compiling and
    while simulating with the entry's module: the decode cache inside a
-   [Runner.request_compiled] is single-domain, so simulations sharing
-   one compiled module are serialized on its entry (different modules
-   still run fully in parallel across the pool). *)
+   [Runner.compiled] is single-domain, so simulations sharing one
+   compiled module are serialized on its entry (different modules still
+   run fully in parallel across the pool). *)
 type compiled_entry = {
   ce_lock : Mutex.t;
-  mutable ce_result : (Runner.request_compiled, string) result option;
+  mutable ce_result : (Runner.compiled, string) result option;
 }
 
 (* One multiplexed connection. The reactor owns it exclusively: a codec
@@ -308,7 +308,7 @@ let rec pump t =
       | Some job ->
         t.n_queued <- t.n_queued - 1;
         t.n_running <- t.n_running + 1;
-        ignore (Parallel.Pool.submit t.pool (run_job t ~key job.j_request)));
+        Parallel.Pool.submit t.pool (run_job t ~key job.j_request));
       pump t
   end
 

@@ -22,8 +22,8 @@ type t = {
   points : point list;
   baselines : (string * Runner.measurement) list;  (** per app *)
   failures : Jobs.failure list;
-      (** jobs that failed after retry; their points are absent. A failed
-          baseline additionally drops the app's dependent points. *)
+      (** jobs that failed; their points are absent. A failed baseline
+          additionally drops the app's dependent points. *)
 }
 
 val loop_configs : Pipelines.config list
@@ -34,14 +34,12 @@ val run :
   ?jobs:int ->
   ?sim_jobs:int ->
   ?cache:Result_cache.t ->
-  ?timeout:float ->
   unit ->
   t
 (** Runs the full sweep (oracle-checked). [jobs] sizes the domain pool
     (default: all available cores); [sim_jobs] shards each launch's
     blocks (default: budgeted from leftover cores, see [Jobs.run_all]);
-    [cache] serves previously measured jobs from disk; [timeout] bounds
-    each job's compilation in seconds. *)
+    [cache] serves previously measured jobs from disk. *)
 
 val points_for :
   t -> ?config:Pipelines.config -> ?app:string -> unit -> point list

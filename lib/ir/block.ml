@@ -14,14 +14,6 @@ let defs b =
   List.map (fun (p : Instr.phi) -> p.dst) b.phis
   @ List.filter_map Instr.def b.instrs
 
-let phi_incoming b pred =
-  let lookup (p : Instr.phi) =
-    match List.assoc_opt pred p.incoming with
-    | Some v -> (p, v)
-    | None -> raise Not_found
-  in
-  List.map lookup b.phis
-
 let map_values f b =
   let map_phi (p : Instr.phi) =
     { p with incoming = List.map (fun (l, v) -> (l, f v)) p.incoming }

@@ -17,10 +17,6 @@ val successors : t -> Value.label list
 val defs : t -> Value.var list
 (** Registers defined by the block's phis and instructions, in order. *)
 
-val phi_incoming : t -> Value.label -> (Instr.phi * Value.t) list
-(** For each phi, the value flowing in from the given predecessor.
-    @raise Not_found if some phi has no entry for that predecessor. *)
-
 val map_values : (Value.t -> Value.t) -> t -> unit
 (** Rewrite every operand in phis, instructions, and the terminator. *)
 

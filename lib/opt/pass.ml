@@ -11,54 +11,27 @@ type report = {
   stats : (string * int) list;
 }
 
-type options = {
-  verify : bool;
-  remarks : Remark.sink option;
-  timeout : float option;
-}
+type options = { verify : bool; remarks : Remark.sink option }
 
-let default_options = { verify = true; remarks = None; timeout = None }
-
-let options ?(verify = true) ?remarks ?timeout () = { verify; remarks; timeout }
+let default_options = { verify = true; remarks = None }
 
 let unverified = { default_options with verify = false }
-
-exception Timeout of { pipeline : string; elapsed : float; budget : float }
-
-let () =
-  Printexc.register_printer (function
-    | Timeout { pipeline; elapsed; budget } ->
-      Some
-        (Printf.sprintf "Pass.Timeout(%s: %.2fs elapsed, %.2fs budget)" pipeline
-           elapsed budget)
-    | _ -> None)
 
 let verify_now f =
   Verifier.check_exn f;
   Uu_analysis.Ssa_check.check_exn f
 
-(* [deadline] is an absolute gettimeofday instant shared across the
-   functions of a module run, so the budget covers the whole pipeline. *)
-let run_passes ~verify ~budget ~deadline passes f =
+let run_passes ~verify passes f =
   let changed = ref false in
   let times = ref [] in
   let work = ref 0 in
   let t_start = Unix.gettimeofday () in
   List.iter
     (fun pass ->
-      (match deadline with
-      | Some d when Unix.gettimeofday () > d ->
-        let budget = match budget with Some b -> b | None -> 0.0 in
-        raise
-          (Timeout
-             { pipeline = pass.name; elapsed = Unix.gettimeofday () -. t_start; budget })
-      | _ -> ());
       let t0 = Unix.gettimeofday () in
       let c =
         try pass.run f
-        with
-        | Timeout _ as e -> raise e
-        | e ->
+        with e ->
           failwith
             (Printf.sprintf "pass %s raised on @%s: %s" pass.name f.Func.name
                (Printexc.to_string e))
@@ -78,17 +51,11 @@ let run_passes ~verify ~budget ~deadline passes f =
     passes;
   (List.rev !times, Unix.gettimeofday () -. t_start, !work, !changed)
 
-let exec_with_deadline ~options:{ verify; remarks; timeout } ~deadline passes f =
-  let deadline =
-    match (deadline, timeout) with
-    | Some d, _ -> Some d
-    | None, Some budget -> Some (Unix.gettimeofday () +. budget)
-    | None, None -> None
-  in
+let exec ?(options = default_options) passes f =
   let before = Statistic.snapshot () in
-  let body () = run_passes ~verify ~budget:timeout ~deadline passes f in
+  let body () = run_passes ~verify:options.verify passes f in
   let pass_times, total_time, work, changed =
-    match remarks with Some sink -> Remark.with_sink sink body | None -> body ()
+    match options.remarks with Some sink -> Remark.with_sink sink body | None -> body ()
   in
   {
     pass_times;
@@ -96,24 +63,6 @@ let exec_with_deadline ~options:{ verify; remarks; timeout } ~deadline passes f 
     work;
     changed;
     stats = Statistic.diff ~before ~after:(Statistic.snapshot ());
-  }
-
-let exec ?(options = default_options) passes f =
-  exec_with_deadline ~options ~deadline:None passes f
-
-let exec_module ?(options = default_options) passes m =
-  let deadline =
-    Option.map (fun budget -> Unix.gettimeofday () +. budget) options.timeout
-  in
-  let reports =
-    List.map (fun f -> exec_with_deadline ~options ~deadline passes f) m.Func.funcs
-  in
-  {
-    pass_times = List.concat_map (fun r -> r.pass_times) reports;
-    total_time = List.fold_left (fun acc r -> acc +. r.total_time) 0.0 reports;
-    work = List.fold_left (fun acc r -> acc + r.work) 0 reports;
-    changed = List.exists (fun r -> r.changed) reports;
-    stats = List.fold_left (fun acc r -> Statistic.merge acc r.stats) [] reports;
   }
 
 let fixpoint ?(max_rounds = 8) name passes =

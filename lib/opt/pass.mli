@@ -13,9 +13,7 @@
     report every transform they applied or missed.
 
     Manager knobs travel in one {!options} record rather than a growing
-    surface of optional arguments. (The deprecated [run]/[run_module]
-    optional-argument wrappers were kept for one release after the
-    {!options} switch and have since been deleted.) *)
+    surface of optional arguments. *)
 
 open Uu_support
 open Uu_ir
@@ -41,34 +39,18 @@ type options = {
       (** check IR well-formedness after every changing pass (default true) *)
   remarks : Remark.sink option;
       (** when set, the active optimization-remark sink for the whole run *)
-  timeout : float option;
-      (** wall-clock budget in seconds for the whole pipeline, checked
-          cooperatively between passes; exceeding it raises {!Timeout} *)
 }
 
 val default_options : options
-(** [{ verify = true; remarks = None; timeout = None }]. *)
-
-val options :
-  ?verify:bool -> ?remarks:Remark.sink -> ?timeout:float -> unit -> options
-(** Builder over {!default_options} for call sites that set one knob. *)
+(** [{ verify = true; remarks = None }]. *)
 
 val unverified : options
-(** [options ~verify:false ()] — the common fast path for analyses that
+(** [{ default_options with verify = false }] — the common fast path for analyses that
     re-run a known-good pipeline prefix. *)
-
-exception Timeout of { pipeline : string; elapsed : float; budget : float }
-(** Raised between passes when [options.timeout] is exhausted. [pipeline]
-    names the pass about to be skipped. The check is cooperative: a
-    single pass that never returns is not interrupted. *)
 
 val exec : ?options:options -> t list -> Func.t -> report
 (** Run the pipeline once, in order, under the given options (default
     {!default_options}). *)
-
-val exec_module : ?options:options -> t list -> Func.modul -> report
-(** Run the pipeline on every function; times and stats are summed. The
-    timeout budget, when present, covers the whole module. *)
 
 val fixpoint : ?max_rounds:int -> string -> t list -> t
 (** A pass that repeats the given sub-pipeline until no sub-pass changes

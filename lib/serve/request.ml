@@ -34,8 +34,6 @@ let make ?(mode = Run) ?loop ?(grid_dim = 4) ?(block_dim = 128) ?(elems = 1024)
     sim_jobs;
   }
 
-let source_name = function App name -> name | Inline { name; _ } -> name
-
 (* An inline source enters the spec by content hash, not by text: the
    spec stays one readable line, and two requests with the same kernel
    text share a cache entry no matter what the client named the file. *)
@@ -46,7 +44,11 @@ let source_spec = function
 
 let mode_string = function Compile -> "compile" | Run -> "run"
 
-let loop_string = function None -> "-" | Some id -> string_of_int id
+(* A loop id names the loop with that id in each kernel. The "kernel:"
+   spelling gives every loop-restricted request a key no entry cached
+   before that rule (when one id pooled the headers of all kernels)
+   can answer. *)
+let loop_string = function None -> "-" | Some id -> "kernel:" ^ string_of_int id
 
 (* Everything a response depends on enters the spec; what cannot change
    a response byte (sim_jobs — metric-identical by the determinism

@@ -61,8 +61,6 @@ val make :
 (** Defaults mirror [uu run]: mode [Run], grid 4, block 128, elems 1024,
     no race check, no trace, no noise, server-chosen [sim_jobs]. *)
 
-val source_name : source -> string
-
 val spec : t -> string
 (** One line, ["serve;"]-prefixed so its hashes can never collide with
     the job graph's ["v<version>;"] specs in the shared cache directory. *)

@@ -101,50 +101,11 @@ let map_range ?jobs ?chunk ~n f =
 
 (* --- persistent pool ------------------------------------------------ *)
 
-type 'a promise = {
-  p_mutex : Mutex.t;
-  p_cond : Condition.t;
-  mutable p_state : 'a state;
-}
-
-and 'a state = Pending | Fulfilled of ('a, exn) result
-
-let promise () =
-  { p_mutex = Mutex.create (); p_cond = Condition.create (); p_state = Pending }
-
-let fulfill p outcome =
-  Mutex.lock p.p_mutex;
-  (match p.p_state with
-  | Pending ->
-    p.p_state <- Fulfilled outcome;
-    Condition.broadcast p.p_cond;
-    Mutex.unlock p.p_mutex
-  | Fulfilled _ ->
-    Mutex.unlock p.p_mutex;
-    invalid_arg "Parallel.fulfill: promise already fulfilled")
-
-let await p =
-  Mutex.lock p.p_mutex;
-  let rec wait () =
-    match p.p_state with
-    | Pending ->
-      Condition.wait p.p_cond p.p_mutex;
-      wait ()
-    | Fulfilled outcome -> outcome
-  in
-  let outcome = wait () in
-  Mutex.unlock p.p_mutex;
-  outcome
-
-let await_exn p = match await p with Ok v -> v | Error e -> raise e
-
 module Pool = struct
-  type task = Task : (unit -> 'a) * 'a promise -> task
-
   type t = {
     mutex : Mutex.t;
     cond : Condition.t;
-    queue : task Queue.t;
+    queue : (unit -> unit) Queue.t;
     mutable closed : bool;
     mutable workers : unit Domain.t list;
     n_domains : int;
@@ -167,8 +128,8 @@ module Pool = struct
       Mutex.unlock pool.mutex;
       match task with
       | None -> ()
-      | Some (Task (f, p)) ->
-        fulfill p (try Ok (f ()) with e -> Error e);
+      | Some f ->
+        (try f () with _ -> ());
         loop ()
     in
     loop ()
@@ -191,16 +152,14 @@ module Pool = struct
     pool
 
   let submit t f =
-    let p = promise () in
     Mutex.lock t.mutex;
     if t.closed then begin
       Mutex.unlock t.mutex;
       invalid_arg "Parallel.Pool.submit: pool is shut down"
     end;
-    Queue.push (Task (f, p)) t.queue;
+    Queue.push f t.queue;
     Condition.signal t.cond;
-    Mutex.unlock t.mutex;
-    p
+    Mutex.unlock t.mutex
 
   let shutdown t =
     Mutex.lock t.mutex;

@@ -1,6 +1,6 @@
 (* Tests for the parallel job graph: the domain pool (deterministic
    ordering, actual multi-domain execution, fault capture), the job
-   abstraction (content-hash keys, failure records, retries), the
+   abstraction (content-hash keys, failure records), the
    on-disk result cache (byte-identical hits, key invalidation), and the
    parallel-equals-serial guarantee of the sweep. *)
 
@@ -84,16 +84,22 @@ let test_job_keys () =
     && Jobs.noise_seed ~key:k 0 <> Jobs.noise_seed ~key:k 1)
 
 let test_failure_record () =
+  let calls = Atomic.make 0 in
   let boom =
-    Jobs.custom ~name:"boom" ~compile:(fun () -> failwith "boom") bezier
-      Pipelines.Baseline
+    Jobs.custom ~name:"boom"
+      ~compile:(fun () ->
+        Atomic.incr calls;
+        failwith "boom")
+      bezier Pipelines.Baseline
   in
   let good = Jobs.job bezier Pipelines.Baseline in
   match Jobs.run_all ~jobs:2 [ boom; good ] with
   | [ bad_r; good_r ] ->
     (match bad_r.Jobs.outcome with
     | Error f ->
-      check int "retried once" 2 f.Jobs.attempts;
+      (* A job is a pure function of its key: a failure is final, never
+         re-attempted. *)
+      check int "compiled exactly once" 1 (Atomic.get calls);
       check bool "message preserved" true
         (Astring.String.is_infix ~affix:"boom" f.Jobs.message);
       check bool "label names the job" true

@@ -435,7 +435,9 @@ let test_cli_smoke_engines_agree () =
       in
       let app = Option.get (Registry.find name) in
       let m = Uu_frontend.Lower.compile ~name app.App.source in
-      ignore (Pipelines.optimize_module ~targets:Pipelines.All_loops Pipelines.Uu_heuristic m);
+      List.iter
+        (fun f -> ignore (Pipelines.optimize Pipelines.Uu_heuristic f))
+        m.Func.funcs;
       let launch (exec : Oracle.exec) =
         let mem = Memory.create () and rng = Rng.create 7L in
         List.map

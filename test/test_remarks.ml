@@ -34,7 +34,7 @@ let heuristic_run params =
   let sink = Remark.create () in
   let report =
     Uu_opt.Pass.exec
-      ~options:(Uu_opt.Pass.options ~remarks:sink ())
+      ~options:{ Uu_opt.Pass.default_options with remarks = Some sink }
       [ Uu.heuristic_pass params ] fn
   in
   (Remark.remarks sink, report.Uu_opt.Pass.stats)

@@ -460,6 +460,37 @@ let test_end_to_end () =
           check bool "parse failure is an Error response" true
             (match bad_resp with Error _ -> true | Ok _ -> false)))
 
+(* A loop id names one loop per kernel. Both kernels have a loop 0
+   (@ka at bb4, @kb at bb1), and @kb's loop 1 shares its header label
+   with @ka's loop 0: pooling the headers of every kernel would
+   transform @kb's loop 1 as well. *)
+let test_loop_id_per_kernel () =
+  let text =
+    "kernel ka(int* restrict o, int n) { int i = 0; int s = 0; if (n > 3) { s = 1; } \
+     else { s = 2; } while (i < n) { s = s + i; i = i + 1; } o[0] = s; }\n\
+     kernel kb(int* restrict o, int n) { int i = 0; int s = 0; while (i < n) { s = s \
+     + 1; i = i + 1; } int j = 0; while (j < n) { s = s + j; j = j + 1; } o[0] = s; }\n"
+  in
+  let r =
+    Request.make ~mode:Request.Compile ~loop:0
+      (Request.Inline { name = "two.cu"; text })
+      (Uu_core.Pipelines.Uu 2)
+  in
+  match Uu_harness.Runner.run_request r with
+  | Error msg -> Alcotest.fail msg
+  | Ok resp ->
+    let applied =
+      List.filter_map
+        (fun (rm : Uu_support.Remark.t) ->
+          if rm.kind = Uu_support.Remark.Applied && rm.pass = "unroll-and-unmerge"
+          then Some (rm.func, rm.block)
+          else None)
+        resp.Response.remarks
+    in
+    check int "one u&u per kernel" 2 (List.length applied);
+    check bool "@ka loop 0 and @kb loop 0" true
+      (List.sort compare applied = [ ("ka", Some 4); ("kb", Some 1) ])
+
 (* An oversized launch shape is refused before anything is allocated
    (a block of 10^8 threads would exhaust the daemon's heap), with the
    bytes `uu run` gives, and the daemon keeps serving. *)
@@ -738,6 +769,7 @@ let suite =
       ("launch_config defaults", `Quick, test_launch_defaults);
       ("noise-seed delegation", `Quick, test_noise_seed);
       ("daemon end to end", `Quick, test_end_to_end);
+      ("--loop resolves the id in each kernel", `Quick, test_loop_id_per_kernel);
       ("daemon rejects an oversized launch shape", `Quick, test_shape_rejected);
       ("in-flight dedupe: N requests, one execution", `Quick, test_inflight_dedupe);
       ("daemon over tcp", `Quick, test_tcp_end_to_end);

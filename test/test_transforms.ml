@@ -258,49 +258,6 @@ let test_selective_unmerge () =
   check bool "selective preserves semantics" true
     (Ir_helpers.run_kernel sel [ 13L ] = reference)
 
-let nested_src =
-  {|
-kernel k(int* restrict out, int n) {
-  int tid = threadIdx.x;
-  int acc = 0;
-  int i = 0;
-  while (i < n) {
-    int j = 0;
-    while (j < 3) {
-      if ((j + tid) & 1) { acc = acc + j; } else { acc = acc - 1; }
-      j = j + 1;
-    }
-    i = i + 1;
-  }
-  out[tid] = acc;
-}
-|}
-
-let outer_loop fn =
-  ignore (Uu_opt.Pass.exec ~options:Uu_opt.Pass.unverified Pipelines.early_passes fn);
-  let forest = Uu_analysis.Loops.analyze fn in
-  (List.find (fun (l : Uu_analysis.Loops.loop) -> l.depth = 1)
-     (Uu_analysis.Loops.loops forest))
-    .Uu_analysis.Loops.header
-
-let test_unroll_nested_option () =
-  let reference = Ir_helpers.run_kernel (Ir_helpers.compile_one nested_src) [ 4L ] in
-  let plain = Ir_helpers.compile_one nested_src in
-  let header = outer_loop plain in
-  ignore (Uu.uu_loop plain ~header ~factor:2);
-  let nested = Ir_helpers.compile_one nested_src in
-  let header_n = outer_loop nested in
-  let o = Uu.uu_loop ~unroll_nested:true nested ~header:header_n ~factor:2 in
-  check bool "applied" true o.Uu.applied;
-  Verifier.check_exn nested;
-  Uu_analysis.Ssa_check.check_exn nested;
-  check bool "nest unrolling duplicates more" true
-    (List.length (Func.labels nested) > List.length (Func.labels plain));
-  check bool "semantics preserved (plain)" true
-    (Ir_helpers.run_kernel plain [ 4L ] = reference);
-  check bool "semantics preserved (nested)" true
-    (Ir_helpers.run_kernel nested [ 4L ] = reference)
-
 let test_provenance_labels () =
   (* After u&u the duplicated paths carry known condition outcomes — the
      paper's Figure 5 T/F/X labels. *)
@@ -352,7 +309,6 @@ let suite =
     ("DBDS one-level ablation", `Quick, test_dbds_ablation);
     ("selective unmerge (SVI extension)", `Quick, test_selective_unmerge);
     ("condition provenance (Figure 5)", `Quick, test_provenance_labels);
-    ("nested-loop unrolling option", `Quick, test_unroll_nested_option);
     ("pipeline config naming", `Quick, test_pipeline_configs_distinct);
     ("Only [] equals baseline", `Quick, test_pipeline_only_none);
   ]
